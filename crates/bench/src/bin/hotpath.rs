@@ -14,9 +14,17 @@
 //!   lock-handle cache) is strictly cheaper than first acquisition;
 //! * a 3-operation boosted-map transaction performs **zero** heap
 //!   allocations end to end (measured by a counting global allocator);
+//! * so does an 8-key read-modify-write transaction on a shared boosted
+//!   map (`allocs_per_txn_map_write`), the `hot_locks` write shape;
 //! * small undo closures stay inline in the log; oversized ones are
 //!   boxed and *counted* (the sanity check that the allocator
 //!   instrumentation actually observes boxing).
+//!
+//! It also runs that 8-key transaction on 1 and on 2 threads, each
+//! thread on its own keys of one shared map, and reports
+//! `scaling_2t_over_1t` (total throughput at 2 threads over 1). Disjoint
+//! keys commute, so nothing but shared cache lines can keep this below
+//! 2; it is reported, not gated (it depends on the host's cores).
 //!
 //! Results go to the console and to `BENCH_hotpath.json` (the meta
 //! block carries the CI-asserted scalars; the series carries ops/sec
@@ -25,7 +33,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use txboost_bench::report::{BenchReport, SeriesPoint};
 use txboost_collections::BoostedHashMap;
@@ -91,6 +99,9 @@ const REACQUIRE_ROUNDS: usize = 32;
 /// Undo-log pushes per transaction — within the inline capacity, so the
 /// inline measurement never spills.
 const LOG_PUSHES: u64 = 8;
+/// Keys per transaction in the disjoint-map series (the `hot_locks`
+/// transaction shape).
+const DISJOINT_KEYS: u64 = 8;
 /// Measurement repetitions; the minimum is reported (steady-state cost,
 /// not scheduler noise).
 const REPS: usize = 5;
@@ -129,6 +140,7 @@ fn parse_args() -> Args {
 /// number of heap allocations per transaction.
 struct Measurement {
     label: &'static str,
+    threads: u64,
     ns_per_op: f64,
     ops: u64,
     allocs_per_txn: u64,
@@ -137,8 +149,9 @@ struct Measurement {
 impl Measurement {
     fn print(&self) {
         println!(
-            "  {:<24} {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
+            "  {:<24} {}t {:>10.1} ns/op {:>12.0} ops/s   {} allocs/txn",
             self.label,
+            self.threads,
             self.ns_per_op,
             1e9 / self.ns_per_op,
             self.allocs_per_txn
@@ -169,6 +182,7 @@ fn measure(
     }
     Measurement {
         label,
+        threads: 1,
         ns_per_op: best.as_nanos() as f64 / ops as f64,
         ops,
         allocs_per_txn,
@@ -321,6 +335,69 @@ fn bench_map3(iters: u64) -> Measurement {
     })
 }
 
+/// `threads` threads each run `iters` 8-key read-modify-write
+/// transactions (a `remove` and a `put` per key, ascending) on their
+/// own keys of one shared boosted map. Timing and the allocation count
+/// cover only the window between two barriers, after every thread is
+/// spawned and before any exits, so thread start-up is not counted.
+/// `ns_per_op` is wall time per committed transaction, all threads
+/// together (the reciprocal of total throughput).
+fn bench_disjoint(label: &'static str, threads: u64, iters: u64) -> Measurement {
+    let tm = TxnManager::default();
+    let map = BoostedHashMap::<u64, i64>::new();
+    tm.run(|t| {
+        for k in 0..threads * DISJOINT_KEYS {
+            map.put(t, k, 0)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let txns = threads * iters;
+    let mut best = Duration::MAX;
+    let mut allocs_per_txn = u64::MAX;
+    for _ in 0..REPS {
+        let start = Barrier::new(threads as usize + 1);
+        let done = Barrier::new(threads as usize + 1);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (tm, map, start, done) = (&tm, &map, &start, &done);
+                s.spawn(move || {
+                    let keys = t * DISJOINT_KEYS..(t + 1) * DISJOINT_KEYS;
+                    start.wait();
+                    for _ in 0..iters {
+                        tm.run(|txn| {
+                            for k in keys.clone() {
+                                let v = map.remove(txn, &k)?.unwrap_or(0);
+                                map.put(txn, k, v + 1)?;
+                            }
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
+                    done.wait();
+                });
+            }
+            start.wait();
+            let (t0, a0) = (Instant::now(), allocations());
+            done.wait();
+            best = best.min(t0.elapsed());
+            allocs_per_txn = allocs_per_txn.min((allocations() - a0).div_ceil(txns));
+        });
+    }
+    assert_eq!(
+        map.snapshot().iter().map(|(_, v)| *v).sum::<i64>(),
+        i64::try_from(REPS as u64 * txns * DISJOINT_KEYS).unwrap(),
+        "an increment was lost"
+    );
+    Measurement {
+        label,
+        threads,
+        ns_per_op: best.as_nanos() as f64 / txns as f64,
+        ops: txns,
+        allocs_per_txn,
+    }
+}
+
 fn main() {
     let args = parse_args();
     println!("hotpath microbench ({} txns per measurement)", args.iters);
@@ -330,8 +407,20 @@ fn main() {
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
     let map3 = bench_map3(args.iters);
+    let write1 = bench_disjoint("map 8-key rmw txn", 1, args.iters / 4);
+    let write2 = bench_disjoint("map 8-key rmw txn", 2, args.iters / 4);
+    let scaling = write1.ns_per_op / write2.ns_per_op;
 
-    let all = [&empty, &first, &re, &log_inline, &log_boxed, &map3];
+    let all = [
+        &empty,
+        &first,
+        &re,
+        &log_inline,
+        &log_boxed,
+        &map3,
+        &write1,
+        &write2,
+    ];
     for m in all {
         m.print();
     }
@@ -347,12 +436,19 @@ fn main() {
         map3.allocs_per_txn, 0,
         "a 3-op boosted-map transaction must not allocate"
     );
+    assert_eq!(
+        write1.allocs_per_txn, 0,
+        "an 8-key boosted-map write transaction must not allocate"
+    );
     assert_eq!(log_inline.allocs_per_txn, 0, "inline undo pushes allocated");
     assert!(
         log_boxed.allocs_per_txn >= LOG_PUSHES,
         "boxed pushes must be visible to the counting allocator"
     );
-    println!("invariants: reacquire < first-acquire; map 3-op txn allocation-free");
+    println!("disjoint 8-key txns: 2 threads / 1 thread throughput = {scaling:.2}");
+    println!(
+        "invariants: reacquire < first-acquire; map 3-op and 8-key write txns allocation-free"
+    );
 
     if let Some(dir) = args.out_dir {
         let mut report = BenchReport::new("hotpath");
@@ -363,6 +459,13 @@ fn main() {
             .meta("empty_txn_ns", format!("{:.1}", empty.ns_per_op))
             .meta("log_push_inline_ns", format!("{:.1}", log_inline.ns_per_op))
             .meta("allocs_per_txn_map3", map3.allocs_per_txn.to_string())
+            .meta(
+                "allocs_per_txn_map_write",
+                write1.allocs_per_txn.to_string(),
+            )
+            .meta("map_write_1t_ns", format!("{:.1}", write1.ns_per_op))
+            .meta("map_write_2t_ns", format!("{:.1}", write2.ns_per_op))
+            .meta("scaling_2t_over_1t", format!("{scaling:.2}"))
             .meta(
                 "allocs_per_txn_log_inline",
                 log_inline.allocs_per_txn.to_string(),
@@ -382,7 +485,7 @@ fn main() {
         for m in all {
             report.push(SeriesPoint {
                 label: m.label.to_string(),
-                threads: 1,
+                threads: m.threads as usize,
                 throughput: 1e9 / m.ns_per_op,
                 committed: m.ops,
                 aborted: 0,

@@ -60,10 +60,10 @@ impl BoostedCounter {
     pub fn add(&self, txn: &Txn, n: i64) -> TxResult<()> {
         self.lock.read_lock(txn)?;
         self.base.add(n);
-        let base = Arc::clone(&self.base);
-        txn.log_undo(move || base.add(-n));
-        let deltas = Arc::clone(&self.deltas);
-        txn.log_version_install(move || deltas.install_current(n));
+        let base = txn.pin(&self.base);
+        txn.log_undo_pinned(move |p| p.get::<StripedCounter>(base).add(-n));
+        let deltas = txn.pin(&self.deltas);
+        txn.log_version_install(move |p| p.get::<DeltaChain>(deltas).install_current(n));
         Ok(())
     }
 

@@ -9,6 +9,11 @@
 //! commutativity isolation (`put(k,·)`, `remove(k)`, `get(k)` commute
 //! across distinct keys), and each mutation logs an inverse that
 //! restores the key's previous binding.
+//!
+//! Logged inverses and version installs reach the base map and the
+//! version store through per-transaction pins (`Txn::pin`): one `Arc`
+//! clone per object per transaction instead of one per call, so
+//! transactions on disjoint keys do not all write the map's refcount.
 
 use std::hash::Hash;
 use std::sync::Arc;
@@ -85,27 +90,31 @@ where
     pub fn put(&self, txn: &Txn, key: K, value: V) -> TxResult<Option<V>> {
         self.locks.lock(txn, &key)?;
         let previous = self.base.insert(key.clone(), value.clone());
-        let base = Arc::clone(&self.base);
+        let base = txn.pin(&self.base);
         // Branch *outside* the inverse so each logged closure captures
-        // only what its arm needs — `(Arc, K, V)` or `(Arc, K)` instead
-        // of `(Arc, K, Option<V>)` — keeping word-sized captures within
-        // the undo log's inline-slot budget (no heap allocation).
+        // only what its arm needs — `(PinId, K, V)` or `(PinId, K)`
+        // instead of `(PinId, K, Option<V>)` — keeping word-sized
+        // captures within the undo log's inline-slot budget (no heap
+        // allocation).
         match previous.clone() {
             Some(old) => {
                 let k = key.clone();
-                txn.log_undo(move || {
-                    base.insert(k, old);
+                txn.log_undo_pinned(move |p| {
+                    p.get::<StripedHashMap<K, V>>(base).insert(k, old);
                 });
             }
             None => {
                 let k = key.clone();
-                txn.log_undo(move || {
-                    base.remove(&k);
+                txn.log_undo_pinned(move |p| {
+                    p.get::<StripedHashMap<K, V>>(base).remove(&k);
                 });
             }
         }
-        let versions = Arc::clone(&self.versions);
-        txn.log_version_install(move || versions.install(key, Some(value)));
+        let versions = txn.pin(&self.versions);
+        txn.log_version_install(move |p| {
+            p.get::<VersionStore<K, V>>(versions)
+                .install(key, Some(value));
+        });
         Ok(previous)
     }
 
@@ -115,16 +124,18 @@ where
         self.locks.lock(txn, key)?;
         let removed = self.base.remove(key);
         if let Some(old) = removed.clone() {
-            let base = Arc::clone(&self.base);
+            let base = txn.pin(&self.base);
             let k = key.clone();
-            txn.log_undo(move || {
-                base.insert(k, old);
+            txn.log_undo_pinned(move |p| {
+                p.get::<StripedHashMap<K, V>>(base).insert(k, old);
             });
             // A tombstone only when something was actually removed: a
             // remove of an absent key changes no committed state.
-            let versions = Arc::clone(&self.versions);
+            let versions = txn.pin(&self.versions);
             let key = key.clone();
-            txn.log_version_install(move || versions.install(key, None));
+            txn.log_version_install(move |p| {
+                p.get::<VersionStore<K, V>>(versions).install(key, None);
+            });
         }
         Ok(removed)
     }
@@ -251,6 +262,85 @@ mod tests {
         assert!(tm.run_read_only(|t| m.contains_key(t, &"k")).unwrap());
         tm.commit(writer);
         assert_eq!(tm.run_read_only(|t| m.get(t, &"k")).unwrap(), Some(2));
+    }
+
+    #[test]
+    fn acked_commit_is_visible_while_an_older_commit_is_unpublished() {
+        // Another thread holds an older commit timestamp, reserved but
+        // not yet published. The commit below gets a newer timestamp,
+        // above the hole in the stable frontier: it must not return
+        // until the hole closes, or the read-only transaction begun
+        // after it returned would read a snapshot without it.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        use txboost_core::MvccDomain;
+        let tm = TxnManager::default();
+        let m = BoostedHashMap::new();
+        let published = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let holder = {
+            let published = Arc::clone(&published);
+            std::thread::spawn(move || {
+                let domain = MvccDomain::global();
+                let held = domain.clock.reserve();
+                tx.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                published.store(true, Ordering::SeqCst);
+                domain.clock.publish(held);
+            })
+        };
+        rx.recv().unwrap();
+        tm.run(|t| m.put(t, 1, 7)).unwrap();
+        assert!(
+            published.load(Ordering::SeqCst),
+            "commit returned while an older timestamp was unpublished"
+        );
+        assert_eq!(tm.run_read_only(|t| m.get(t, &1)).unwrap(), Some(7));
+        holder.join().unwrap();
+    }
+
+    #[test]
+    fn abort_replays_through_pins_after_the_caller_dropped_the_map() {
+        // The inverse reaches the base map through the transaction's
+        // pin, which keeps the map alive after its last outside handle
+        // is gone; the restored binding is observable through a second
+        // handle to the same base taken from the pin.
+        let tm = tm_noretry();
+        let txn = tm.begin();
+        let base = {
+            let m = BoostedHashMap::new();
+            tm.run(|t| m.put(t, 1, "kept")).unwrap();
+            m.put(&txn, 1, "overwritten").unwrap();
+            m.put(&txn, 2, "fresh").unwrap();
+            Arc::clone(&m.base)
+        };
+        assert_eq!(Arc::strong_count(&base), 2, "the txn's pin and ours");
+        tm.abort(txn, txboost_core::AbortReason::Explicit);
+        assert_eq!(Arc::strong_count(&base), 1, "pins drop when the txn ends");
+        assert_eq!(base.get(&1), Some("kept"));
+        assert_eq!(base.get(&2), None);
+    }
+
+    #[test]
+    fn savepoint_rollback_and_nested_replay_through_pins() {
+        let tm = TxnManager::default();
+        let m = BoostedHashMap::new();
+        tm.run(|t| {
+            m.put(t, 1, 10)?;
+            let sp = t.savepoint();
+            m.put(t, 1, 11)?;
+            m.put(t, 2, 20)?;
+            t.rollback_to(sp);
+            let nested: TxResult<()> = t.nested(|n| {
+                m.remove(n, &1)?;
+                Err(Abort::explicit())
+            });
+            assert!(nested.is_err());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(m.snapshot(), vec![(1, 10)]);
+        assert_eq!(tm.run_read_only(|t| m.get(t, &1)).unwrap(), Some(10));
     }
 
     #[test]

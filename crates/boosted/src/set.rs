@@ -108,13 +108,15 @@ macro_rules! boosted_set {
                 self.locks.lock(txn, &key)?;
                 let result = self.base.add(key.clone());
                 if result {
-                    let base = Arc::clone(&self.base);
+                    let base = txn.pin(&self.base);
                     let k = key.clone();
-                    txn.log_undo(move || {
-                        base.remove(&k);
+                    txn.log_undo_pinned(move |p| {
+                        p.get::<$base<K>>(base).remove(&k);
                     });
-                    let versions = Arc::clone(&self.versions);
-                    txn.log_version_install(move || versions.install(key, Some(())));
+                    let versions = txn.pin(&self.versions);
+                    txn.log_version_install(move |p| {
+                        p.get::<VersionStore<K, ()>>(versions).install(key, Some(()));
+                    });
                 }
                 Ok(result)
             }
@@ -125,14 +127,16 @@ macro_rules! boosted_set {
                 self.locks.lock(txn, key)?;
                 let result = self.base.remove(key);
                 if result {
-                    let base = Arc::clone(&self.base);
+                    let base = txn.pin(&self.base);
                     let k = key.clone();
-                    txn.log_undo(move || {
-                        base.add(k);
+                    txn.log_undo_pinned(move |p| {
+                        p.get::<$base<K>>(base).add(k);
                     });
-                    let versions = Arc::clone(&self.versions);
+                    let versions = txn.pin(&self.versions);
                     let key = key.clone();
-                    txn.log_version_install(move || versions.install(key, None));
+                    txn.log_version_install(move |p| {
+                        p.get::<VersionStore<K, ()>>(versions).install(key, None);
+                    });
                 }
                 Ok(result)
             }

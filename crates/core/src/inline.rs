@@ -8,8 +8,8 @@
 //!
 //! [`ActionLog`] stores each closure *inline* in a fixed-size slot when
 //! it fits ([`INLINE_WORDS`] machine words — every inverse logged by
-//! `crates/boosted` captures at most an `Arc` handle plus a key and an
-//! old value, which is ≤3 words for word-sized keys/values), falling
+//! `crates/boosted` captures at most a pin id or `Arc` handle plus a key
+//! and an old value, which is ≤3 words for word-sized keys/values), falling
 //! back to a `Box` only for oversized captures. The first
 //! [`ActionLog::INLINE_SLOTS`]-many slots live inside the log itself
 //! (and therefore inside [`crate::Txn`], on the stack); only deeper
@@ -23,13 +23,19 @@
 //! out and runs it (abort replay / commit actions); `drop_fn` disposes
 //! of it without running (commit discards the undo log, savepoint
 //! rollback discards deferred actions).
+//!
+//! Every logged closure takes the transaction's [`Pins`] as its
+//! argument: inverses and version installs reach the shared objects
+//! they act on through a pin id (one word) instead of capturing an
+//! `Arc` clone each (see `pin.rs`).
 
+use crate::pin::Pins;
 use std::mem::{align_of, size_of, MaybeUninit};
 
 /// Number of machine words a closure may capture and still be stored
 /// inline (no heap allocation). Four words = 32 bytes on 64-bit: enough
-/// for every inverse in `crates/boosted` (`Arc` + key + old value) with
-/// headroom for an `Arc` + `String`-keyed capture.
+/// for every inverse in `crates/boosted` (pin id or `Arc` + key + old
+/// value) with headroom for a pin id + `String`-keyed capture.
 pub(crate) const INLINE_WORDS: usize = 4;
 
 /// The raw storage of one slot: either the closure itself (if it fits)
@@ -47,7 +53,7 @@ const fn fits_inline<F>() -> bool {
 struct Slot {
     payload: Payload,
     /// Move the closure out of `payload` and run it. Consumes the slot.
-    call: unsafe fn(*mut u8),
+    call: unsafe fn(*mut u8, &Pins),
     /// Dispose of the closure without running it. Consumes the slot.
     drop_fn: unsafe fn(*mut u8),
 }
@@ -59,7 +65,7 @@ struct Slot {
 impl Slot {
     /// Erase `f` into a slot. Returns the slot and whether it had to be
     /// boxed (diagnostics: the zero-allocation claim is testable).
-    fn new<F: FnOnce() + Send + 'static>(f: F) -> (Slot, bool) {
+    fn new<F: FnOnce(&Pins) + Send + 'static>(f: F) -> (Slot, bool) {
         let mut payload = Payload::uninit();
         if fits_inline::<F>() {
             // SAFETY: `fits_inline` proved size and alignment; the write
@@ -94,12 +100,12 @@ impl Slot {
 /// # Safety
 /// `p` must point at a payload holding a valid inline `F`, which must
 /// never be read again afterwards.
-unsafe fn call_inline<F: FnOnce()>(p: *mut u8) {
+unsafe fn call_inline<F: FnOnce(&Pins)>(p: *mut u8, pins: &Pins) {
     // SAFETY: the caller hands over a payload written by `Slot::new`
     // with this exact `F`; `read` moves the closure out, so the slot is
     // dead afterwards (the container forgets it without dropping).
     let f = unsafe { p.cast::<F>().read() };
-    f();
+    f(pins);
 }
 
 /// # Safety
@@ -117,11 +123,11 @@ unsafe fn drop_inline<F>(p: *mut u8) {
 // The `*mut u8` arrives from a `Payload` ([usize; 4]), so it is always
 // word-aligned — exactly what `*mut F` needs.
 #[allow(clippy::cast_ptr_alignment)]
-unsafe fn call_boxed<F: FnOnce()>(p: *mut u8) {
+unsafe fn call_boxed<F: FnOnce(&Pins)>(p: *mut u8, pins: &Pins) {
     // SAFETY: the payload was written by `Slot::new`'s boxed branch with
     // this exact `F`; reconstituting the box transfers ownership here.
     let f = unsafe { Box::from_raw(p.cast::<*mut F>().read()) };
-    f();
+    f(pins);
 }
 
 /// # Safety
@@ -144,13 +150,13 @@ pub(crate) struct LoggedAction {
 }
 
 impl LoggedAction {
-    /// Run the closure (consuming it).
-    pub(crate) fn invoke(mut self) {
+    /// Run the closure (consuming it) with the transaction's pins.
+    pub(crate) fn invoke(mut self, pins: &Pins) {
         self.live = false;
         // SAFETY: `live` is cleared first so `Drop` will not touch the
         // payload even if the closure panics; the slot was initialized
         // by `Slot::new` and is consumed exactly once here.
-        unsafe { (self.slot.call)(self.slot.payload.as_mut_ptr().cast::<u8>()) };
+        unsafe { (self.slot.call)(self.slot.payload.as_mut_ptr().cast::<u8>(), pins) };
     }
 }
 
@@ -164,7 +170,7 @@ impl Drop for LoggedAction {
     }
 }
 
-/// A LIFO log of type-erased `FnOnce() + Send` closures with `N`
+/// A LIFO log of type-erased `FnOnce(&Pins) + Send` closures with `N`
 /// inline slots and a spill `Vec` for deeper logs.
 ///
 /// Live slots occupy indices `head..len`; `head` is nonzero only while
@@ -215,7 +221,7 @@ impl<const N: usize> ActionLog<N> {
 
     /// Append `f`. Allocation-free while the log is at most `N` deep
     /// and `f`'s captures fit in [`INLINE_WORDS`] words.
-    pub(crate) fn push<F: FnOnce() + Send + 'static>(&mut self, f: F) {
+    pub(crate) fn push<F: FnOnce(&Pins) + Send + 'static>(&mut self, f: F) {
         debug_assert_eq!(self.head, 0, "push into a draining log");
         let (slot, was_boxed) = Slot::new(f);
         if was_boxed {
@@ -306,6 +312,70 @@ impl<const N: usize> std::fmt::Debug for ActionLog<N> {
     }
 }
 
+/// A vector with `N` inline slots; the spill `Vec` is touched only past
+/// `N` entries. (The undo/commit/abort logs use the type-erasing
+/// [`ActionLog`] instead; this plain safe variant is for already-`Sized`
+/// handles: held locks and object pins.)
+#[derive(Debug)]
+pub(crate) struct InlineVec<T, const N: usize> {
+    inline: [Option<T>; N],
+    spill: Vec<T>,
+    len: usize,
+}
+
+impl<T, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        InlineVec {
+            inline: [const { None }; N],
+            spill: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T, const N: usize> InlineVec<T, N> {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn push(&mut self, value: T) {
+        if self.len < N {
+            self.inline[self.len] = Some(value);
+        } else {
+            self.spill.push(value);
+        }
+        self.len += 1;
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        if self.len >= N {
+            self.spill.pop()
+        } else {
+            self.inline[self.len].take()
+        }
+    }
+
+    /// The entry at `i`, if `i < len`.
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+        if i >= self.len {
+            None
+        } else if i < N {
+            self.inline[i].as_ref()
+        } else {
+            self.spill.get(i - N)
+        }
+    }
+
+    /// Every entry, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.inline.iter().flatten().chain(self.spill.iter())
+    }
+}
+
 /// Consuming iterator over an [`ActionLog`]. `next` yields oldest-first
 /// (deferred-action order); `next_back` yields newest-first (undo
 /// replay order, via `.rev()`). Dropping the iterator disposes of any
@@ -354,13 +424,13 @@ mod tests {
         let mut log = ActionLog::<4>::new();
         for i in 0..3 {
             let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(move |_| h.lock().unwrap().push(i));
         }
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.boxed_count(), 0, "small closures must stay inline");
         while let Some(a) = log.pop() {
-            a.invoke();
+            a.invoke(&Pins::default());
         }
         assert_eq!(*hits.lock().unwrap(), vec![2, 1, 0]);
     }
@@ -371,10 +441,10 @@ mod tests {
         let mut log = ActionLog::<2>::new();
         for i in 0..7 {
             let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(move |_| h.lock().unwrap().push(i));
         }
         for a in log.into_iter().rev() {
-            a.invoke();
+            a.invoke(&Pins::default());
         }
         assert_eq!(*hits.lock().unwrap(), vec![6, 5, 4, 3, 2, 1, 0]);
     }
@@ -385,10 +455,10 @@ mod tests {
         let mut log = ActionLog::<2>::new();
         for i in 0..5 {
             let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(move |_| h.lock().unwrap().push(i));
         }
         for a in log {
-            a.invoke();
+            a.invoke(&Pins::default());
         }
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 3, 4]);
     }
@@ -399,11 +469,11 @@ mod tests {
         let out = Arc::new(AtomicUsize::new(0));
         let o = Arc::clone(&out);
         let mut log = ActionLog::<4>::new();
-        log.push(move || {
+        log.push(move |_| {
             o.store(big.iter().sum::<u64>() as usize, Ordering::SeqCst);
         });
         assert_eq!(log.boxed_count(), 1);
-        log.pop().unwrap().invoke();
+        log.pop().unwrap().invoke(&Pins::default());
         assert_eq!(out.load(Ordering::SeqCst), 63);
     }
 
@@ -415,7 +485,7 @@ mod tests {
         for _ in 0..5 {
             let r = Arc::clone(&ran);
             let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
+            log.push(move |_| {
                 let _keep = &d;
                 r.fetch_add(1, Ordering::SeqCst);
             });
@@ -436,14 +506,14 @@ mod tests {
         for _ in 0..6 {
             let r = Arc::clone(&ran);
             let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
+            log.push(move |_| {
                 let _keep = &d;
                 r.fetch_add(1, Ordering::SeqCst);
             });
         }
         let mut it = log.into_iter();
-        it.next().unwrap().invoke(); // front (inline)
-        it.next_back().unwrap().invoke(); // back (spill)
+        it.next().unwrap().invoke(&Pins::default()); // front (inline)
+        it.next_back().unwrap().invoke(&Pins::default()); // back (spill)
         drop(it);
         assert_eq!(ran.load(Ordering::SeqCst), 2);
         assert_eq!(dropped.load(Ordering::SeqCst), 6);
@@ -455,15 +525,15 @@ mod tests {
         let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
         for i in 0..6 {
             let h = Arc::clone(&hits);
-            log.push(move || h.lock().unwrap().push(i));
+            log.push(move |_| h.lock().unwrap().push(i));
         }
         let mut it = log.into_iter();
-        it.next().unwrap().invoke(); // 0
-        it.next().unwrap().invoke(); // 1
-        it.next().unwrap().invoke(); // 2 (crosses into spill)
-        it.next_back().unwrap().invoke(); // 5
-        it.next().unwrap().invoke(); // 3
-        it.next_back().unwrap().invoke(); // 4
+        it.next().unwrap().invoke(&Pins::default()); // 0
+        it.next().unwrap().invoke(&Pins::default()); // 1
+        it.next().unwrap().invoke(&Pins::default()); // 2 (crosses into spill)
+        it.next_back().unwrap().invoke(&Pins::default()); // 5
+        it.next().unwrap().invoke(&Pins::default()); // 3
+        it.next_back().unwrap().invoke(&Pins::default()); // 4
         assert!(it.next().is_none());
         assert_eq!(*hits.lock().unwrap(), vec![0, 1, 2, 5, 3, 4]);
     }
@@ -476,7 +546,7 @@ mod tests {
         let big = [0u8; 64];
         let r = Arc::clone(&ran);
         let d = DropProbe(Arc::clone(&dropped));
-        log.push(move || {
+        log.push(move |_| {
             let _keep = (&d, &big);
             r.fetch_add(1, Ordering::SeqCst);
         });
@@ -492,18 +562,18 @@ mod tests {
         let mut log = ActionLog::<2>::new();
         for _ in 0..3 {
             let d = DropProbe(Arc::clone(&dropped));
-            log.push(move || {
+            log.push(move |_| {
                 let _keep = &d;
             });
         }
         let d = DropProbe(Arc::clone(&dropped));
-        log.push(move || {
+        log.push(move |_| {
             let _keep = &d;
             panic!("inverse failed");
         });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             for a in log.into_iter().rev() {
-                a.invoke();
+                a.invoke(&Pins::default());
             }
         }));
         assert!(result.is_err());

@@ -55,8 +55,9 @@
 //!
 //! A [`Txn`] lives on the thread that runs it and is neither `Send` nor
 //! `Sync`; undo and deferred closures must be `Send + 'static` because
-//! they typically capture `Arc` handles to shared base objects and may
-//! conceptually run at any point after the call that logged them.
+//! they capture logged values (and reach shared base objects through
+//! [`Txn::pin`] ids or `Arc` handles) and may conceptually run at any
+//! point after the call that logged them.
 
 #![warn(missing_docs)]
 
@@ -69,6 +70,8 @@ mod inline;
 pub mod locks;
 pub mod mvcc;
 pub mod obs;
+mod pad;
+mod pin;
 mod stats;
 pub mod trace;
 mod txn;
@@ -82,7 +85,9 @@ pub use mvcc::{
 pub use obs::{
     ContentionRegistry, ContentionSnapshot, DurabilityMetrics, DurabilitySnapshot,
     HistogramSnapshot, LatencyHistogram, LockLabel, LockSiteSnapshot, LockSiteStats,
+    StripedHistogram,
 };
+pub use pin::{PinId, Pins};
 pub use stats::{TxnStats, TxnStatsSnapshot};
 pub use txn::{Savepoint, Txn, TxnConfig, TxnId, TxnManager, TxnState};
 

@@ -9,9 +9,15 @@
 //! this lock?"*
 //!
 //! [`LockCache`] is that local answer: a tiny set-associative cache in
-//! [`crate::Txn`] mapping `(table id, key hash)` tags to held
-//! [`AbstractLock`] handles. On a hit, `KeyLockMap::lock` returns
-//! without touching the shared table at all.
+//! [`crate::Txn`] of `(table id, key hash)` tags of held locks. On a
+//! hit, `KeyLockMap::lock` returns without touching the shared table at
+//! all.
+//!
+//! Entries hold **no** lock handle — only the tag. The transaction's
+//! held-lock list already owns the one `Arc` per acquired lock that
+//! keeps the lock alive, so a second handle here would only add a
+//! refcount increment at acquisition and a decrement at release, both
+//! on the lock's shared line.
 //!
 //! # Soundness
 //!
@@ -31,31 +37,26 @@
 //! * Eviction (round-robin, on a full cache) and misses are always
 //!   safe: the slow path re-checks ownership in the lock itself.
 
-use super::abstract_lock::AbstractLock;
-use std::sync::Arc;
-
 /// Associativity of the cache: how many distinct `(table, key)` pairs a
 /// transaction can hold fast-path handles for at once. Eight covers the
 /// working set of every in-tree transaction script (transfers touch 2–4
 /// keys); larger transactions merely fall back to the shared table.
 pub(crate) const LOCK_CACHE_WAYS: usize = 8;
 
-#[derive(Debug)]
+/// The tag of one held lock: its table's id and both key hashes. Table
+/// ids start at 1, so the all-zero tag marks an empty way.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct CacheEntry {
     table: u64,
     h1: u64,
     h2: u64,
-    /// The held lock. Not consulted on a hit (the tag match is the
-    /// proof); kept so the cached claim is auditable in debug builds
-    /// and the handle's lifetime visibly matches the cache's.
-    _lock: Arc<AbstractLock>,
 }
 
-/// A small inline map from `(table id, key hash)` to held lock handles;
+/// A small inline set of `(table id, key hash)` tags of held locks;
 /// see the module docs for the soundness argument.
 #[derive(Debug, Default)]
 pub(crate) struct LockCache {
-    entries: [Option<CacheEntry>; LOCK_CACHE_WAYS],
+    entries: [CacheEntry; LOCK_CACHE_WAYS],
     /// Round-robin eviction cursor.
     next: usize,
     /// Lifetime hit count (diagnostics; exposed as
@@ -67,11 +68,9 @@ impl LockCache {
     /// Whether this transaction already holds the lock tagged
     /// `(table, h1, h2)`. Counts a hit.
     pub(crate) fn hit(&mut self, table: u64, h1: u64, h2: u64) -> bool {
-        let found = self
-            .entries
-            .iter()
-            .flatten()
-            .any(|e| e.table == table && e.h1 == h1 && e.h2 == h2);
+        debug_assert_ne!(table, 0, "table ids start at 1");
+        let tag = CacheEntry { table, h1, h2 };
+        let found = self.entries.contains(&tag);
         if found {
             self.hits += 1;
         }
@@ -79,20 +78,15 @@ impl LockCache {
     }
 
     /// Record a freshly acquired (or re-confirmed) lock. Call only
-    /// after [`AbstractLock::acquire`] succeeded for this transaction.
-    pub(crate) fn insert(&mut self, table: u64, h1: u64, h2: u64, lock: &Arc<AbstractLock>) {
-        let entry = CacheEntry {
-            table,
-            h1,
-            h2,
-            _lock: Arc::clone(lock),
-        };
+    /// after an acquisition succeeded for this transaction.
+    pub(crate) fn insert(&mut self, table: u64, h1: u64, h2: u64) {
+        let entry = CacheEntry { table, h1, h2 };
         // Prefer an empty way; otherwise evict round-robin. Eviction
         // only loses the fast path, never correctness.
-        if let Some(slot) = self.entries.iter_mut().find(|e| e.is_none()) {
-            *slot = Some(entry);
+        if let Some(slot) = self.entries.iter_mut().find(|e| e.table == 0) {
+            *slot = entry;
         } else {
-            self.entries[self.next % LOCK_CACHE_WAYS] = Some(entry);
+            self.entries[self.next % LOCK_CACHE_WAYS] = entry;
             self.next = self.next.wrapping_add(1);
         }
     }
@@ -101,9 +95,7 @@ impl LockCache {
     /// (commit or abort); a cleared cache can never claim a released
     /// lock is held.
     pub(crate) fn clear(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
+        self.entries = [CacheEntry::default(); LOCK_CACHE_WAYS];
     }
 
     /// Lifetime hit count.
@@ -116,15 +108,10 @@ impl LockCache {
 mod tests {
     use super::*;
 
-    fn lock() -> Arc<AbstractLock> {
-        Arc::new(AbstractLock::new())
-    }
-
     #[test]
     fn hit_requires_all_three_tag_components() {
         let mut c = LockCache::default();
-        let l = lock();
-        c.insert(1, 10, 20, &l);
+        c.insert(1, 10, 20);
         assert!(c.hit(1, 10, 20));
         assert!(!c.hit(2, 10, 20), "different table");
         assert!(!c.hit(1, 11, 20), "different h1");
@@ -135,8 +122,7 @@ mod tests {
     #[test]
     fn clear_forgets_everything() {
         let mut c = LockCache::default();
-        let l = lock();
-        c.insert(1, 1, 1, &l);
+        c.insert(1, 1, 1);
         assert!(c.hit(1, 1, 1));
         c.clear();
         assert!(!c.hit(1, 1, 1));
@@ -146,24 +132,13 @@ mod tests {
     #[test]
     fn eviction_drops_oldest_ways_but_never_misreports() {
         let mut c = LockCache::default();
-        let l = lock();
         for i in 0..(LOCK_CACHE_WAYS as u64 + 3) {
-            c.insert(1, i, i, &l);
+            c.insert(1, i, i);
         }
         // The newest entries are present…
         assert!(c.hit(1, LOCK_CACHE_WAYS as u64 + 2, LOCK_CACHE_WAYS as u64 + 2));
         // …and evicted ones miss (fall back to the shared table).
         assert!(!c.hit(1, 0, 0));
         assert!(!c.hit(1, 1, 1));
-    }
-
-    #[test]
-    fn cache_holds_a_reference_to_the_lock() {
-        let mut c = LockCache::default();
-        let l = lock();
-        c.insert(1, 1, 1, &l);
-        assert_eq!(Arc::strong_count(&l), 2);
-        c.clear();
-        assert_eq!(Arc::strong_count(&l), 1);
     }
 }

@@ -1,8 +1,9 @@
 //! `KeyLockMap` — the paper's `LockKey` (Figure 3): one abstract lock
 //! per key.
 
-use super::abstract_lock::AbstractLock;
+use super::abstract_lock::{AbstractLock, AcquireOutcome};
 use crate::obs::{ContentionRegistry, LockLabel, LockSiteStats};
+use crate::pad::{padded, CachePadded};
 use crate::{TxResult, Txn};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -18,7 +19,10 @@ const DEFAULT_SHARDS: usize = 64;
 /// tables without cross-table tag collisions.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
-type Shard<K, S> = Mutex<HashMap<K, Arc<AbstractLock>, S>>;
+/// One shard of the table, padded so that neighbouring shards never
+/// share a cache line: two transactions on keys of different shards
+/// then write no common line on the lock path.
+type Shard<K, S> = CachePadded<Mutex<HashMap<K, Arc<AbstractLock>, S>>>;
 
 /// A sharded table mapping keys to [`AbstractLock`]s.
 ///
@@ -46,7 +50,10 @@ type Shard<K, S> = Mutex<HashMap<K, Arc<AbstractLock>, S>>;
 /// cache), answers *re*-acquisitions entirely from the transaction's
 /// `LockCache` (`locks/cache.rs`) — no shard mutex, no `HashMap` probe, no
 /// key clone — and on the miss path probes the shard with
-/// get-before-insert so existing keys are never cloned.
+/// get-before-insert so existing keys are never cloned. A first
+/// acquisition costs exactly one `Arc` clone — minted under the shard
+/// mutex and moved into the transaction's held-lock list — and one drop
+/// at release.
 #[derive(Debug)]
 pub struct KeyLockMap<K, S = RandomState> {
     shards: Box<[Shard<K, S>]>,
@@ -86,10 +93,7 @@ impl<K: Hash + Eq + Clone> KeyLockMap<K> {
     /// itself.
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
-        let shards = (0..n)
-            .map(|_| Mutex::new(HashMap::with_hasher(RandomState::new())))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let shards = padded(n, || Mutex::new(HashMap::with_hasher(RandomState::new())));
         KeyLockMap {
             shards,
             hasher: RandomState::new(),
@@ -173,8 +177,8 @@ impl<K: Hash + Eq + Clone, S: BuildHasher> KeyLockMap<K, S> {
     /// is exactly two (the table's reference plus this call's local
     /// handle). New handles are only minted by `lock_for_hash` under
     /// the same shard mutex, and every owner and every blocked waiter
-    /// holds a clone (owners via both their registered handle and their
-    /// lock cache), so the count-of-two check guarantees removal can
+    /// holds a clone (an owner's is the handle it registered with its
+    /// transaction), so the count-of-two check guarantees removal can
     /// never strand a transaction on a stale lock — the failure mode
     /// where two `Arc`s exist for one key and mutual exclusion silently
     /// breaks.
@@ -191,14 +195,22 @@ impl<K: Hash + Eq + Clone, S: BuildHasher> KeyLockMap<K, S> {
             return Ok(());
         }
         let lock = self.lock_for_hash(h1, key);
-        match lock.acquire(txn) {
-            Ok(()) => {
-                txn.lock_cache_insert(self.table_id, h1, h2, &lock);
+        match lock.try_acquire_raw(txn.id(), txn.lock_timeout()) {
+            AcquireOutcome::Acquired => {
+                debug_assert_eq!(lock.owner(), Some(txn.id()));
+                txn.lock_cache_insert(self.table_id, h1, h2);
+                // The handle minted under the shard mutex becomes the
+                // held-lock entry: no further refcount traffic.
+                txn.register_held_lock(lock);
                 Ok(())
             }
-            Err(abort) => {
+            AcquireOutcome::AlreadyHeld => {
+                txn.lock_cache_insert(self.table_id, h1, h2);
+                Ok(())
+            }
+            AcquireOutcome::TimedOut => {
                 self.cleanup_after_timeout(h1, key, &lock);
-                Err(abort)
+                Err(crate::Abort::lock_timeout())
             }
         }
     }
@@ -248,8 +260,7 @@ impl<K: Hash + Eq + Clone, S: BuildHasher> KeyLockMap<K, S> {
     pub fn poison_txn_cache_for_test(&self, txn: &Txn, key: &K) {
         let h1 = self.key_hash(key);
         let h2 = self.cache_hasher.hash_one(key);
-        let lock = self.lock_for_hash(h1, key);
-        txn.poison_lock_cache_for_test(self.table_id, h1, h2, &lock);
+        txn.poison_lock_cache_for_test(self.table_id, h1, h2);
     }
 }
 
@@ -334,6 +345,26 @@ mod tests {
         assert_eq!(b.lock_cache_hits(), 0, "fresh txn must take the slow path");
         assert_eq!(b.held_lock_count(), 1);
         tm.commit(b);
+    }
+
+    #[test]
+    fn a_held_lock_costs_one_refcount() {
+        let tm = manager(5);
+        let map = KeyLockMap::<i64>::new();
+        let count = |k: i64| {
+            let h = map.key_hash(&k);
+            let shard = map.shards[map.stripe_of_hash(h)].lock();
+            Arc::strong_count(shard.get(&k).unwrap())
+        };
+        let a = tm.begin();
+        map.lock(&a, &5).unwrap();
+        // The table's entry plus the transaction's held handle; the
+        // lock cache holds a tag, not a handle.
+        assert_eq!(count(5), 2);
+        map.lock(&a, &5).unwrap();
+        assert_eq!(count(5), 2, "a cache hit mints no handle");
+        tm.commit(a);
+        assert_eq!(count(5), 1, "release drops the held handle");
     }
 
     #[test]

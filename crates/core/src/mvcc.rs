@@ -31,16 +31,36 @@
 //!
 //! ## Bounded chains and GC
 //!
-//! Chains are pruned back toward [`DEFAULT_CHAIN_BOUND`] entries on
-//! every install. A version may be dropped only when a newer version
-//! at-or-below the **GC floor** exists, where the floor is
-//! `min(oldest registered reader, stable)` — so no registered snapshot
-//! reader can ever lose the version it would read. Registration and
-//! floor computation read the clock under the same registry mutex,
-//! which closes the register-vs-GC race: a GC that misses a concurrent
-//! registration is guaranteed (by mutex ordering and the clock's
-//! monotonicity) to have used a floor at-or-below that reader's
-//! snapshot.
+//! * A commit does not return until `stable() >= ts`
+//!   ([`CommitClock::wait_stable`], after its abstract locks are
+//!   released). Without the wait, a commit whose timestamp sits above
+//!   an older commit still installing would return while invisible to
+//!   new snapshots, and a read-only transaction begun after it returned
+//!   could miss it: real-time order and read-your-writes would break.
+//!
+//! ## Bounded chains and GC
+//!
+//! Chains are pruned back toward [`DEFAULT_CHAIN_BOUND`] entries once
+//! an install takes them past it. A version may be dropped only when a
+//! newer version at-or-below the **GC floor** exists, where the floor
+//! is `min(oldest registered reader, stable)` — so no registered
+//! snapshot reader can ever lose the version it would read. The floor
+//! is computed lazily, only when a chain is over its bound: it takes
+//! the one process-wide reader-registry mutex, which an install under
+//! the bound never touches. Registration and floor computation read
+//! the clock under that same mutex, which closes the register-vs-GC
+//! race: a GC that misses a concurrent registration is guaranteed (by
+//! mutex ordering and the clock's monotonicity) to have used a floor
+//! at-or-below that reader's snapshot.
+//!
+//! ## Layout
+//!
+//! A [`VersionStore`] keeps each key's chain inline in its shard's map,
+//! so an install is one shard-mutex critical section with one lookup
+//! (no per-chain `Arc`, no second lock). Shards are cache-line padded,
+//! and the install and read counters are striped per thread, so
+//! commits on disjoint keys share no written line beyond the commit
+//! clock itself.
 //!
 //! Everything here is shared-state-only (no per-`Txn` storage); the
 //! transaction integration — snapshot guards on [`crate::Txn`], the
@@ -51,7 +71,9 @@ use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::obs::{HistogramSnapshot, LatencyHistogram};
+use crate::backoff::SpinWait;
+use crate::obs::{HistogramSnapshot, StripedHistogram};
+use crate::pad::{padded, CachePadded, StripedCounter};
 
 /// Default cap on versions retained per key. Chains may exceed it
 /// transiently when an old registered reader pins history; installs
@@ -151,6 +173,23 @@ impl CommitClock {
     pub fn stable(&self) -> u64 {
         self.stable.load(Ordering::Acquire)
     }
+
+    /// Wait until the stable frontier reaches `ts` — i.e. until every
+    /// commit older than `ts` has published. Called by a committed
+    /// transaction after it published `ts` and released its locks, so
+    /// the wait covers only other commits' install windows (which
+    /// block on nothing). Spins, then yields the CPU; it never reaches
+    /// a deterministic-scheduler yield point, because under the
+    /// scheduler no install window contains one (see `Txn::do_commit`),
+    /// so any commit it waits for is running, not parked.
+    pub(crate) fn wait_stable(&self, ts: u64) {
+        let mut spin = SpinWait::new();
+        while self.stable() < ts {
+            if !spin.spin() {
+                std::thread::yield_now();
+            }
+        }
+    }
 }
 
 /// Sentinel floor value when no reader is registered.
@@ -211,17 +250,20 @@ impl ReaderRegistry {
 /// Counters and histograms for the multi-version read path, exported
 /// through the server's STATS surface. All updates are relaxed
 /// atomics, cheap enough for the commit path (same policy as
-/// [`crate::obs`]).
+/// [`crate::obs`]); the per-install and per-read ones are striped per
+/// thread, so they add no shared cache line to a commit or a read.
 #[derive(Debug, Default)]
 pub struct MvccMetrics {
     /// Chain length observed at each version install.
-    pub chain_len: LatencyHistogram,
+    pub chain_len: StripedHistogram,
     /// Snapshot age (in commit timestamps: `stable - snapshot_ts`) at
     /// read-only transaction end — how far behind the frontier
     /// snapshots run.
-    pub snapshot_age: LatencyHistogram,
-    installs: AtomicU64,
-    snapshot_reads: AtomicU64,
+    pub snapshot_age: StripedHistogram,
+    installs: StripedCounter,
+    snapshot_reads: StripedCounter,
+    /// Bumped only by GC passes (chains over their bound), so a plain
+    /// shared counter.
     gc_reclaimed: AtomicU64,
 }
 
@@ -232,11 +274,24 @@ impl MvccMetrics {
         self.gc_reclaimed.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Record one install that left its chain `len` long.
+    #[inline]
+    fn note_install(&self, len: usize) {
+        self.installs.add(1);
+        self.chain_len.record(len as u64);
+    }
+
+    /// Record one snapshot read.
+    #[inline]
+    fn note_read(&self) {
+        self.snapshot_reads.add(1);
+    }
+
     /// Point-in-time copy of the counters and histograms.
     pub fn snapshot(&self) -> MvccSnapshot {
         MvccSnapshot {
-            installs: self.installs.load(Ordering::Relaxed),
-            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
+            installs: self.installs.sum(),
+            snapshot_reads: self.snapshot_reads.sum(),
             gc_reclaimed: self.gc_reclaimed.load(Ordering::Relaxed),
             chain_len: self.chain_len.snapshot(),
             snapshot_age: self.snapshot_age.snapshot(),
@@ -288,8 +343,15 @@ impl MvccDomain {
     /// The process-wide domain shared by every boosted collection and
     /// `TxnManager` that does not opt out.
     pub fn global() -> Arc<MvccDomain> {
+        Arc::clone(MvccDomain::global_ref())
+    }
+
+    /// The process-wide domain by reference: the commit path uses this
+    /// so that stamping a commit does not bump the domain's refcount (a
+    /// line every committing thread would write).
+    pub(crate) fn global_ref() -> &'static Arc<MvccDomain> {
         static GLOBAL: OnceLock<Arc<MvccDomain>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(|| Arc::new(MvccDomain::new())))
+        GLOBAL.get_or_init(|| Arc::new(MvccDomain::new()))
     }
 
     /// Begin a snapshot read: register at the stable frontier and
@@ -351,15 +413,76 @@ impl Drop for SnapshotGuard {
     }
 }
 
-/// A bounded chain of committed versions of one logical value.
+/// One key's committed versions: `(commit ts, value)` sorted by
+/// timestamp, `None` a tombstone (the key was absent as of that
+/// commit). Shared by [`VersionChain`] (behind its own mutex) and
+/// [`VersionStore`] (inline in a shard's map).
+type Versions<V> = Vec<(u64, Option<V>)>;
+
+/// Sort-insert the version committed at `ts` (installs may arrive out
+/// of timestamp order: commits race between `reserve` and `publish`);
+/// a same-timestamp entry is overwritten (one transaction writing a
+/// key twice installs last-write-wins). Then, only if the chain is now
+/// over `bound`, compute the GC floor and prune.
+fn install_version<V>(
+    domain: &MvccDomain,
+    bound: usize,
+    versions: &mut Versions<V>,
+    ts: u64,
+    value: Option<V>,
+) {
+    let i = versions.partition_point(|&(t, _)| t < ts);
+    if versions.get(i).is_some_and(|&(t, _)| t == ts) {
+        versions[i].1 = value;
+    } else {
+        versions.insert(i, (ts, value));
+    }
+    domain.metrics.note_install(versions.len());
+    if versions.len() > bound {
+        let reclaimed = prune_versions(versions, domain.gc_floor());
+        if reclaimed > 0 {
+            domain.metrics.note_reclaimed(reclaimed);
+        }
+    }
+}
+
+/// Drop the versions no snapshot at-or-above `floor` can read; returns
+/// how many. A version is reclaimable iff a newer version ≤ `floor`
+/// exists — plus one special case: a tombstone that *is* the newest
+/// version ≤ `floor`, with nothing older left, reads identically to an
+/// empty prefix and is dropped too. The `Vec` keeps its capacity, so
+/// steady-state installs stay allocation-free.
+fn prune_versions<V>(versions: &mut Versions<V>, floor: u64) -> u64 {
+    // Entries [0, at_or_below) have ts ≤ floor; the newest of them
+    // (index at_or_below - 1) must survive unless it is a leading
+    // tombstone.
+    let at_or_below = versions.partition_point(|&(t, _)| t <= floor);
+    let mut cut = at_or_below.saturating_sub(1);
+    if cut + 1 == at_or_below && versions.get(cut).is_some_and(|(_, v)| v.is_none()) {
+        cut = at_or_below;
+    }
+    versions.drain(..cut);
+    cut as u64
+}
+
+/// The newest value at-or-below snapshot `ts`.
+fn read_version<V: Clone>(versions: &Versions<V>, ts: u64) -> Option<V> {
+    let i = versions.partition_point(|&(t, _)| t <= ts);
+    if i == 0 {
+        return None;
+    }
+    versions[i - 1].1.clone()
+}
+
+/// A bounded chain of committed versions of one logical value, behind
+/// its own mutex — the standalone form of one [`VersionStore`] entry.
 ///
-/// Entries are `(commit ts, value)` sorted by timestamp; `None` is a
-/// tombstone (the key was absent as of that commit). The chain is the
-/// unit both of snapshot reads (newest entry ≤ snapshot ts) and of GC.
+/// The chain is the unit both of snapshot reads (newest entry ≤
+/// snapshot ts) and of GC.
 ///
 /// Determinism note: every public method yields to the deterministic
-/// scheduler exactly once, *unconditionally* — `install` always calls
-/// `gc`, and `gc` yields before deciding whether to prune. Prune
+/// scheduler *unconditionally* — `install` yields its install and GC
+/// points whether or not it prunes, `gc` yields before deciding. Prune
 /// amounts depend on cross-test global clock state, so making the
 /// yields structural (never value-dependent) is what keeps recorded
 /// schedules replayable.
@@ -367,7 +490,7 @@ impl Drop for SnapshotGuard {
 pub struct VersionChain<V> {
     domain: Arc<MvccDomain>,
     bound: usize,
-    versions: Mutex<Vec<(u64, Option<V>)>>,
+    versions: Mutex<Versions<V>>,
 }
 
 impl<V: Clone> VersionChain<V> {
@@ -381,39 +504,21 @@ impl<V: Clone> VersionChain<V> {
         }
     }
 
-    /// Install the version committed at `ts` (`None` = tombstone),
-    /// then run a GC pass. Installs may arrive out of timestamp order
-    /// (commits race between `reserve` and `publish`), so the entry is
-    /// sort-inserted; a same-timestamp entry is overwritten (one
-    /// transaction writing a key twice installs last-write-wins).
+    /// Install the version committed at `ts` (`None` = tombstone); if
+    /// that takes the chain past its bound, prune it at the current GC
+    /// floor. See `install_version` for ordering and overwrite rules.
     pub fn install(&self, ts: u64, value: Option<V>) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionInstall);
-        let len = {
-            let mut versions = self.versions.lock().unwrap();
-            let i = versions.partition_point(|&(t, _)| t < ts);
-            if versions.get(i).is_some_and(|&(t, _)| t == ts) {
-                versions[i].1 = value;
-            } else {
-                versions.insert(i, (ts, value));
-            }
-            versions.len()
-        };
-        self.domain.metrics.installs.fetch_add(1, Ordering::Relaxed);
-        self.domain.metrics.chain_len.record(len as u64);
-        let floor = self.domain.gc_floor();
-        let metrics = &self.domain.metrics;
-        self.gc(floor, &mut |n| metrics.note_reclaimed(n));
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::VersionGc);
+        let mut versions = self.versions.lock().unwrap();
+        install_version(&self.domain, self.bound, &mut versions, ts, value);
     }
 
     /// Prune versions no snapshot at-or-above `floor` can read,
-    /// reporting the reclaimed count. A version is reclaimable iff a
-    /// newer version ≤ `floor` exists — plus one special case: a
-    /// tombstone that *is* the newest version ≤ `floor`, with nothing
-    /// older left, reads identically to an empty prefix and is dropped
-    /// too. Pruning only triggers once the chain exceeds its bound
-    /// (the `Vec` keeps its capacity, so steady-state installs stay
-    /// allocation-free).
+    /// reporting the reclaimed count (see `prune_versions`). Pruning
+    /// only triggers once the chain exceeds its bound.
     pub fn gc(&self, floor: u64, on_reclaim: &mut dyn FnMut(u64)) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionGc);
@@ -421,17 +526,9 @@ impl<V: Clone> VersionChain<V> {
         if versions.len() <= self.bound {
             return;
         }
-        // Entries [0, at_or_below) have ts ≤ floor; the newest of them
-        // (index at_or_below - 1) must survive unless it is a leading
-        // tombstone.
-        let at_or_below = versions.partition_point(|&(t, _)| t <= floor);
-        let mut cut = at_or_below.saturating_sub(1);
-        if cut + 1 == at_or_below && versions.get(cut).is_some_and(|(_, v)| v.is_none()) {
-            cut = at_or_below;
-        }
+        let cut = prune_versions(&mut versions, floor);
         if cut > 0 {
-            versions.drain(..cut);
-            on_reclaim(cut as u64);
+            on_reclaim(cut);
         }
     }
 
@@ -440,16 +537,8 @@ impl<V: Clone> VersionChain<V> {
     pub fn read_at(&self, ts: u64) -> Option<V> {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::SnapshotRead);
-        self.domain
-            .metrics
-            .snapshot_reads
-            .fetch_add(1, Ordering::Relaxed);
-        let versions = self.versions.lock().unwrap();
-        let i = versions.partition_point(|&(t, _)| t <= ts);
-        if i == 0 {
-            return None;
-        }
-        versions[i - 1].1.clone()
+        self.domain.metrics.note_read();
+        read_version(&self.versions.lock().unwrap(), ts)
     }
 
     /// Current number of retained versions.
@@ -490,6 +579,19 @@ struct DeltaInner {
     deltas: Vec<(u64, i64)>,
 }
 
+impl DeltaInner {
+    /// Fold deltas at-or-below `floor` into the base; returns how many.
+    fn fold(&mut self, floor: u64) -> u64 {
+        let cut = self.deltas.partition_point(|&(t, _)| t <= floor);
+        if cut > 0 {
+            self.base_ts = self.deltas[cut - 1].0;
+            self.base_value += self.deltas[..cut].iter().map(|&(_, d)| d).sum::<i64>();
+            self.deltas.drain(..cut);
+        }
+        cut as u64
+    }
+}
+
 impl DeltaChain {
     /// An empty delta chain (counter value 0 at every timestamp).
     pub fn new(domain: Arc<MvccDomain>, bound: usize) -> Self {
@@ -501,22 +603,30 @@ impl DeltaChain {
         }
     }
 
-    /// Install the delta committed at `ts`, then run a GC pass.
+    /// Install the delta committed at `ts`; if that fills the chain to
+    /// its bound, fold at the current GC floor.
     pub fn install(&self, ts: u64, delta: i64) {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::VersionInstall);
-        let len = {
-            let mut inner = self.inner.lock().unwrap();
-            debug_assert!(ts > inner.base_ts, "install below the folded base");
-            let i = inner.deltas.partition_point(|&(t, _)| t <= ts);
-            inner.deltas.insert(i, (ts, delta));
-            inner.deltas.len() + 1
-        };
-        self.domain.metrics.installs.fetch_add(1, Ordering::Relaxed);
-        self.domain.metrics.chain_len.record(len as u64);
-        let floor = self.domain.gc_floor();
-        let metrics = &self.domain.metrics;
-        self.gc(floor, &mut |n| metrics.note_reclaimed(n));
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::VersionGc);
+        self.install_at(ts, delta);
+    }
+
+    /// The install itself, with no yield point (the commit path takes
+    /// its yields before its timestamp exists; see `Txn::do_commit`).
+    fn install_at(&self, ts: u64, delta: i64) {
+        let mut inner = self.inner.lock().unwrap();
+        debug_assert!(ts > inner.base_ts, "install below the folded base");
+        let i = inner.deltas.partition_point(|&(t, _)| t <= ts);
+        inner.deltas.insert(i, (ts, delta));
+        self.domain.metrics.note_install(inner.deltas.len() + 1);
+        if inner.deltas.len() >= self.bound {
+            let reclaimed = inner.fold(self.domain.gc_floor());
+            if reclaimed > 0 {
+                self.domain.metrics.note_reclaimed(reclaimed);
+            }
+        }
     }
 
     /// Install using the in-progress commit's timestamp (the shape the
@@ -527,7 +637,7 @@ impl DeltaChain {
             debug_assert!(false, "version install outside a commit");
             return;
         }
-        self.install(ts, delta);
+        self.install_at(ts, delta);
     }
 
     /// Fold deltas at-or-below `floor` into the base. Unlike
@@ -541,14 +651,10 @@ impl DeltaChain {
         if inner.deltas.len() < self.bound {
             return;
         }
-        let cut = inner.deltas.partition_point(|&(t, _)| t <= floor);
-        if cut == 0 {
-            return;
+        let cut = inner.fold(floor);
+        if cut > 0 {
+            on_reclaim(cut);
         }
-        inner.base_ts = inner.deltas[cut - 1].0;
-        inner.base_value += inner.deltas[..cut].iter().map(|&(_, d)| d).sum::<i64>();
-        inner.deltas.drain(..cut);
-        on_reclaim(cut as u64);
     }
 
     /// The counter value at snapshot `ts`: base plus every delta ≤
@@ -557,10 +663,7 @@ impl DeltaChain {
     pub fn read_at(&self, ts: u64) -> i64 {
         #[cfg(feature = "deterministic")]
         crate::det::yield_point(crate::det::Point::SnapshotRead);
-        self.domain
-            .metrics
-            .snapshot_reads
-            .fetch_add(1, Ordering::Relaxed);
+        self.domain.metrics.note_read();
         let inner = self.inner.lock().unwrap();
         debug_assert!(inner.base_ts <= ts, "snapshot read below the folded base");
         inner.base_value
@@ -573,10 +676,11 @@ impl DeltaChain {
     }
 }
 
-/// One lock-striped bucket of a [`VersionStore`].
-type Shard<K, V> = Mutex<HashMap<K, Arc<VersionChain<V>>>>;
+/// One lock-striped bucket of a [`VersionStore`]: each key's chain
+/// lives inline in the map, on a padded line of its own.
+type Shard<K, V> = CachePadded<Mutex<HashMap<K, Versions<V>>>>;
 
-/// A sharded map from key to [`VersionChain`] — the per-collection
+/// A sharded map from key to its version chain — the per-collection
 /// version side-table behind the boosted map and sets.
 ///
 /// Chains are created lazily on first install. A key with no chain was
@@ -598,11 +702,9 @@ where
 {
     /// An empty store whose chains prune toward `bound` versions.
     pub fn new(domain: Arc<MvccDomain>, bound: usize) -> Self {
-        let shards = (0..STORE_SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect();
+        assert!(bound >= 1, "a chain must retain at least one version");
         VersionStore {
-            shards,
+            shards: padded(STORE_SHARDS, || Mutex::new(HashMap::new())),
             hasher: RandomState::new(),
             domain,
             bound,
@@ -619,62 +721,46 @@ where
         &self.domain
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<VersionChain<V>>>> {
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Versions<V>>> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h & (STORE_SHARDS - 1)]
     }
 
     /// Install `value` (`None` = tombstone) for `key` at the
     /// in-progress commit's timestamp. This is the version-log closure
-    /// entry point (see `with_commit_ts`); the key's chain is
-    /// created on first install.
+    /// entry point (see `with_commit_ts`): one shard critical section,
+    /// no yield point (the commit took this install's yields before its
+    /// timestamp was reserved). The key's chain is created on first
+    /// install.
     pub fn install(&self, key: K, value: Option<V>) {
         let ts = current_commit_ts();
         if ts == 0 {
             debug_assert!(false, "version install outside a commit");
             return;
         }
-        let chain = {
-            let mut shard = self.shard(&key).lock().unwrap();
-            // Probe before insert: the steady state is an existing
-            // chain, which must not pay the entry API's key clone.
-            match shard.get(&key) {
-                Some(chain) => Arc::clone(chain),
-                None => {
-                    let chain = Arc::new(VersionChain::new(Arc::clone(&self.domain), self.bound));
-                    shard.insert(key, Arc::clone(&chain));
-                    chain
-                }
-            }
-        };
-        chain.install(ts, value);
+        let mut shard = self.shard(&key).lock().unwrap();
+        // Probe before insert: the steady state is an existing chain,
+        // which must not pay the entry API's key move or hash twice.
+        if let Some(versions) = shard.get_mut(&key) {
+            install_version(&self.domain, self.bound, versions, ts, value);
+        } else {
+            let mut versions = Vec::new();
+            install_version(&self.domain, self.bound, &mut versions, ts, value);
+            shard.insert(key, versions);
+        }
     }
 
     /// The newest value for `key` at-or-below snapshot `ts`. Yields
     /// (and counts) exactly one snapshot read whether or not the key
     /// has a chain, so schedules stay replayable.
     pub fn read_at(&self, key: &K, ts: u64) -> Option<V> {
-        let chain = {
-            let shard = self.shard(key).lock().unwrap();
-            shard.get(key).map(Arc::clone)
-        };
-        match chain {
-            Some(chain) => chain.read_at(ts),
-            None => {
-                #[cfg(feature = "deterministic")]
-                crate::det::yield_point(crate::det::Point::SnapshotRead);
-                self.domain
-                    .metrics
-                    .snapshot_reads
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// The chain backing `key`, if one exists (test introspection).
-    pub fn chain(&self, key: &K) -> Option<Arc<VersionChain<V>>> {
-        self.shard(key).lock().unwrap().get(key).map(Arc::clone)
+        #[cfg(feature = "deterministic")]
+        crate::det::yield_point(crate::det::Point::SnapshotRead);
+        self.domain.metrics.note_read();
+        let shard = self.shard(key).lock().unwrap();
+        shard
+            .get(key)
+            .and_then(|versions| read_version(versions, ts))
     }
 }
 

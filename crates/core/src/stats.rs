@@ -4,16 +4,15 @@
 //! far lower abort rate than read/write-conflict STMs; these counters
 //! are what the benchmark harness reads to reproduce that comparison.
 
-use crate::obs::LatencyHistogram;
+use crate::obs::{HistogramSnapshot, LatencyHistogram};
+use crate::pad::{padded, stripe, CachePadded, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Shared, lock-free counters maintained by a [`crate::TxnManager`].
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization, and must never perturb the measured code paths.
+/// One thread-stripe of [`TxnStats`]: every counter and histogram a
+/// transaction bumps, on lines no other stripe touches.
 #[derive(Debug, Default)]
-pub struct TxnStats {
+struct StatsStripe {
     started: AtomicU64,
     committed: AtomicU64,
     aborted: AtomicU64,
@@ -26,26 +25,54 @@ pub struct TxnStats {
     undo_depth_abort: LatencyHistogram,
 }
 
+/// Shared, lock-free counters maintained by a [`crate::TxnManager`].
+///
+/// All counters use relaxed atomics: they are statistics, not
+/// synchronization, and must never perturb the measured code paths.
+/// They are striped per thread (each thread writes only its own
+/// cache-padded stripe; [`TxnStats::snapshot`] sums the stripes), so
+/// counting a transaction never shares a cache line with a transaction
+/// on another thread. Counts are exact.
+#[derive(Debug)]
+pub struct TxnStats {
+    stripes: Box<[CachePadded<StatsStripe>]>,
+}
+
+impl Default for TxnStats {
+    fn default() -> Self {
+        TxnStats {
+            stripes: padded(STRIPES, StatsStripe::default),
+        }
+    }
+}
+
 impl TxnStats {
+    /// The calling thread's stripe.
+    #[inline]
+    fn mine(&self) -> &StatsStripe {
+        &self.stripes[stripe()]
+    }
+
     /// Count one transaction attempt. Public so that sibling runtimes
     /// (e.g. the read/write STM baseline) can reuse these counters.
     pub fn record_start(&self) {
-        self.started.fetch_add(1, Ordering::Relaxed);
+        self.mine().started.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one commit.
     pub fn record_commit(&self) {
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.mine().committed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one abort, attributed to `reason`.
     pub fn record_abort(&self, reason: crate::AbortReason) {
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        let s = self.mine();
+        s.aborted.fetch_add(1, Ordering::Relaxed);
         let c = match reason {
-            crate::AbortReason::LockTimeout => &self.lock_timeouts,
-            crate::AbortReason::Explicit => &self.explicit_aborts,
-            crate::AbortReason::Conflict => &self.conflict_aborts,
-            crate::AbortReason::WouldBlock => &self.would_block_aborts,
+            crate::AbortReason::LockTimeout => &s.lock_timeouts,
+            crate::AbortReason::Explicit => &s.explicit_aborts,
+            crate::AbortReason::Conflict => &s.conflict_aborts,
+            crate::AbortReason::WouldBlock => &s.would_block_aborts,
             // Read-only violations are program errors surfaced to the
             // caller, not contention; like `Other` they count only in
             // the total (the server tracks them per-script instead).
@@ -60,40 +87,57 @@ impl TxnStats {
     /// read/write STM baseline) at commit/abort time — never on a path
     /// a transaction can observe.
     pub fn record_attempt(&self, duration: Duration, undo_depth: u64, committed: bool) {
-        self.attempt_ns.record_duration(duration);
+        let s = self.mine();
+        s.attempt_ns.record_duration(duration);
         if committed {
-            self.undo_depth_commit.record(undo_depth);
+            s.undo_depth_commit.record(undo_depth);
         } else {
-            self.undo_depth_abort.record(undo_depth);
+            s.undo_depth_abort.record(undo_depth);
         }
+    }
+
+    /// One histogram merged over every stripe.
+    fn merged(&self, of: fn(&StatsStripe) -> &LatencyHistogram) -> HistogramSnapshot {
+        self.stripes
+            .iter()
+            .fold(HistogramSnapshot::default(), |acc, s| {
+                acc.merge(&of(s).snapshot())
+            })
     }
 
     /// Histogram of attempt wall-clock durations, in nanoseconds
     /// (commits and aborts alike).
-    pub fn attempt_durations(&self) -> &LatencyHistogram {
-        &self.attempt_ns
+    pub fn attempt_durations(&self) -> HistogramSnapshot {
+        self.merged(|s| &s.attempt_ns)
     }
 
     /// Histogram of undo-log depth at commit.
-    pub fn undo_depth_at_commit(&self) -> &LatencyHistogram {
-        &self.undo_depth_commit
+    pub fn undo_depth_at_commit(&self) -> HistogramSnapshot {
+        self.merged(|s| &s.undo_depth_commit)
     }
 
     /// Histogram of undo-log depth at abort (inverses replayed).
-    pub fn undo_depth_at_abort(&self) -> &LatencyHistogram {
-        &self.undo_depth_abort
+    pub fn undo_depth_at_abort(&self) -> HistogramSnapshot {
+        self.merged(|s| &s.undo_depth_abort)
     }
 
-    /// Take a consistent-enough snapshot of all counters.
+    /// Take a consistent-enough snapshot of all counters: each is the
+    /// exact sum of its stripes.
     pub fn snapshot(&self) -> TxnStatsSnapshot {
+        let sum = |f: fn(&StatsStripe) -> &AtomicU64| -> u64 {
+            self.stripes
+                .iter()
+                .map(|s| f(s).load(Ordering::Relaxed))
+                .sum()
+        };
         TxnStatsSnapshot {
-            started: self.started.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            lock_timeouts: self.lock_timeouts.load(Ordering::Relaxed),
-            explicit_aborts: self.explicit_aborts.load(Ordering::Relaxed),
-            conflict_aborts: self.conflict_aborts.load(Ordering::Relaxed),
-            would_block_aborts: self.would_block_aborts.load(Ordering::Relaxed),
+            started: sum(|s| &s.started),
+            committed: sum(|s| &s.committed),
+            aborted: sum(|s| &s.aborted),
+            lock_timeouts: sum(|s| &s.lock_timeouts),
+            explicit_aborts: sum(|s| &s.explicit_aborts),
+            conflict_aborts: sum(|s| &s.conflict_aborts),
+            would_block_aborts: sum(|s| &s.would_block_aborts),
         }
     }
 }
@@ -160,11 +204,11 @@ mod tests {
         s.record_attempt(Duration::from_micros(10), 3, true);
         s.record_attempt(Duration::from_micros(20), 5, false);
         s.record_attempt(Duration::from_micros(30), 0, true);
-        assert_eq!(s.attempt_durations().snapshot().count(), 3);
-        let commit = s.undo_depth_at_commit().snapshot();
+        assert_eq!(s.attempt_durations().count(), 3);
+        let commit = s.undo_depth_at_commit();
         assert_eq!(commit.count(), 2);
         assert_eq!(commit.sum, 3);
-        let abort = s.undo_depth_at_abort().snapshot();
+        let abort = s.undo_depth_at_abort();
         assert_eq!(abort.count(), 1);
         assert_eq!(abort.sum, 5);
     }

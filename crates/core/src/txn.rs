@@ -1,11 +1,13 @@
 //! Transactions and the transaction manager.
 
 use crate::error::{Abort, AbortReason, TxnError};
-use crate::inline::ActionLog;
+use crate::inline::{ActionLog, InlineVec};
 use crate::locks::cache::LockCache;
-use crate::locks::{AbstractLock, HeldLock};
+use crate::locks::HeldLock;
+use crate::pin::{PinId, Pins};
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
@@ -86,68 +88,21 @@ impl Default for TxnConfig {
 }
 
 /// Inline capacity of the undo log: deep enough for every in-tree
-/// transaction script (the busiest, the server's guarded transfer,
-/// logs 4 inverses). Deeper logs spill to the heap, which only costs
-/// the allocation the old `Vec<Box<dyn FnOnce>>` paid on *every* push.
-const UNDO_INLINE: usize = 12;
+/// transaction script (the busiest, an 8-key read-modify-write of the
+/// boosted map, logs 16 inverses: a `remove` and a `put` per key).
+/// Deeper logs spill to the heap, which only costs the allocation the
+/// old `Vec<Box<dyn FnOnce>>` paid on *every* push.
+const UNDO_INLINE: usize = 16;
 
 /// Inline capacity of each deferred-action (on-commit / on-abort) log.
 const DEFER_INLINE: usize = 4;
 
-/// Inline capacity of the version-install log (one entry per mutated
-/// key; the busiest in-tree script installs 4).
-const VERSION_INLINE: usize = 8;
+/// Inline capacity of the version-install log (one entry per mutating
+/// call; the same 8-key read-modify-write installs 16).
+const VERSION_INLINE: usize = 16;
 
 /// Inline capacity of the held-locks list.
 const LOCKS_INLINE: usize = 8;
-
-/// A vector with `N` inline slots; the spill `Vec` is touched only by
-/// transactions holding unusually many locks. (The undo/commit/abort
-/// logs use the type-erasing [`ActionLog`] instead; this plain safe
-/// variant is for the already-`Sized` lock handles.)
-#[derive(Debug)]
-struct InlineVec<T, const N: usize> {
-    inline: [Option<T>; N],
-    spill: Vec<T>,
-    len: usize,
-}
-
-impl<T, const N: usize> Default for InlineVec<T, N> {
-    fn default() -> Self {
-        InlineVec {
-            inline: [const { None }; N],
-            spill: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T, const N: usize> InlineVec<T, N> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, value: T) {
-        if self.len < N {
-            self.inline[self.len] = Some(value);
-        } else {
-            self.spill.push(value);
-        }
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        if self.len >= N {
-            self.spill.pop()
-        } else {
-            self.inline[self.len].take()
-        }
-    }
-}
 
 /// A high-water mark in a transaction's logs; see [`Txn::savepoint`].
 #[derive(Debug, Clone, Copy)]
@@ -156,6 +111,7 @@ pub struct Savepoint {
     undo_len: usize,
     on_commit_len: usize,
     on_abort_len: usize,
+    version_len: usize,
 }
 
 /// A running transaction.
@@ -174,8 +130,9 @@ pub struct Savepoint {
 ///
 /// A `Txn` is deliberately neither `Send` nor `Sync`: it belongs to the
 /// thread executing the transaction. The closures it stores must be
-/// `Send + 'static` because they capture shared base objects (`Arc`s)
-/// and logged values by move.
+/// `Send + 'static` because they capture logged values by move; they
+/// reach shared base objects through [`Txn::pin`] ids (or captured
+/// `Arc`s).
 pub struct Txn {
     id: TxnId,
     state: Cell<TxnState>,
@@ -189,6 +146,9 @@ pub struct Txn {
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard>,
     held_locks: RefCell<InlineVec<Arc<dyn HeldLock>, LOCKS_INLINE>>,
+    /// Objects pinned by this transaction's logged closures; see
+    /// `pin.rs`. Cleared when the transaction finishes.
+    pins: RefCell<Pins>,
     /// Fast-path reacquire cache; see [`crate::locks::cache`].
     lock_cache: RefCell<LockCache>,
     lock_timeout: Duration,
@@ -223,6 +183,7 @@ impl Txn {
             version_log: RefCell::new(ActionLog::new()),
             snapshot,
             held_locks: RefCell::new(InlineVec::default()),
+            pins: RefCell::new(Pins::new(id.raw())),
             lock_cache: RefCell::new(LockCache::default()),
             lock_timeout,
             started: Instant::now(),
@@ -282,7 +243,34 @@ impl Txn {
     /// # Panics
     /// Panics if the transaction is no longer active.
     pub fn log_undo(&self, inverse: impl FnOnce() + Send + 'static) {
-        self.assert_active("log_undo");
+        self.log_undo_pinned(move |_| inverse());
+    }
+
+    /// [`Txn::log_undo`] for an inverse that reaches its object through
+    /// a [`Txn::pin`] id: the closure receives this transaction's pin
+    /// table when it runs (abort, savepoint rollback), so it captures
+    /// one word for the object instead of an `Arc` clone.
+    ///
+    /// ```
+    /// # use std::sync::{Arc, Mutex};
+    /// # use txboost_core::{Abort, TxnManager};
+    /// let tm = TxnManager::default();
+    /// let log = Arc::new(Mutex::new(vec![1]));
+    /// let _ = tm.run(|txn| {
+    ///     log.lock().unwrap().push(2);
+    ///     let pin = txn.pin(&log);
+    ///     txn.log_undo_pinned(move |pins| {
+    ///         pins.get::<Mutex<Vec<i32>>>(pin).lock().unwrap().pop();
+    ///     });
+    ///     Err::<(), _>(Abort::explicit())
+    /// });
+    /// assert_eq!(*log.lock().unwrap(), vec![1]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if the transaction is no longer active.
+    pub fn log_undo_pinned(&self, inverse: impl FnOnce(&Pins) + Send + 'static) {
+        self.assert_active("log_undo_pinned");
         debug_assert!(
             !self.is_read_only(),
             "read-only transactions log no inverses (the lock guards reject mutations first)"
@@ -294,6 +282,18 @@ impl Txn {
             txn: self.id,
             depth: self.undo_log.borrow().len(),
         });
+    }
+
+    /// Pin `obj` for this transaction's logged closures and return its
+    /// id; see `pin.rs`. The first pin of an object clones its `Arc`
+    /// once; pinning it again returns the same id without touching the
+    /// refcount. Pins live until the transaction commits or aborts.
+    ///
+    /// # Panics
+    /// Panics if the transaction is no longer active.
+    pub fn pin<T: Any + Send + Sync>(&self, obj: &Arc<T>) -> PinId {
+        self.assert_active("pin");
+        self.pins.borrow_mut().pin(obj)
     }
 
     /// Defer a *disposable* method call until after commit.
@@ -308,7 +308,7 @@ impl Txn {
     /// Panics if the transaction is no longer active.
     pub fn defer_on_commit(&self, action: impl FnOnce() + Send + 'static) {
         self.assert_active("defer_on_commit");
-        self.on_commit.borrow_mut().push(action);
+        self.on_commit.borrow_mut().push(move |_: &Pins| action());
     }
 
     /// Defer a *disposable* method call until after the transaction has
@@ -321,7 +321,7 @@ impl Txn {
     /// Panics if the transaction is no longer active.
     pub fn defer_on_abort(&self, action: impl FnOnce() + Send + 'static) {
         self.assert_active("defer_on_abort");
-        self.on_abort.borrow_mut().push(action);
+        self.on_abort.borrow_mut().push(move |_: &Pins| action());
     }
 
     /// Request an explicit abort. Returns the [`Abort`] token to
@@ -332,14 +332,17 @@ impl Txn {
 
     /// Log a version install to run if this transaction commits. The
     /// closure typically calls [`crate::VersionStore::install`] (or
-    /// [`crate::DeltaChain::install_current`]); it runs inside the
-    /// commit's `with_commit_ts` window — after the
-    /// undo log is discarded, while abstract locks are still held —
-    /// in the order logged. Discarded without running on abort.
+    /// [`crate::DeltaChain::install_current`]) on a store reached
+    /// through a [`Txn::pin`] id; it runs inside the commit's
+    /// `with_commit_ts` window — after the undo log is discarded, while
+    /// abstract locks are still held — in the order logged, and must
+    /// not reach a deterministic-scheduler yield point (the commit takes
+    /// those before the window opens). Discarded without running on
+    /// abort.
     ///
     /// # Panics
     /// Panics if the transaction is no longer active.
-    pub fn log_version_install(&self, install: impl FnOnce() + Send + 'static) {
+    pub fn log_version_install(&self, install: impl FnOnce(&Pins) + Send + 'static) {
         self.assert_active("log_version_install");
         debug_assert!(
             !self.is_read_only(),
@@ -358,15 +361,17 @@ impl Txn {
             undo_len: self.undo_log.borrow().len(),
             on_commit_len: self.on_commit.borrow().len(),
             on_abort_len: self.on_abort.borrow().len(),
+            version_len: self.version_log.borrow().len(),
         }
     }
 
     /// Undo everything logged since `sp`: replay the undo-log suffix in
-    /// reverse and discard deferred actions registered since the
-    /// savepoint. **Abstract locks acquired since the savepoint remain
-    /// held** — releasing mid-transaction would violate two-phase
-    /// locking; holding them is merely conservative (Rule 2 still
-    /// holds).
+    /// reverse and discard deferred actions and version installs
+    /// registered since the savepoint (a rolled-back write must not
+    /// reach the version chains at commit). **Abstract locks acquired
+    /// since the savepoint remain held** — releasing mid-transaction
+    /// would violate two-phase locking; holding them is merely
+    /// conservative (Rule 2 still holds).
     ///
     /// # Panics
     /// Panics if `sp` came from a different transaction, if the
@@ -390,10 +395,11 @@ impl Txn {
                 }
                 undo.pop().expect("len checked above")
             };
-            action.invoke();
+            action.invoke(&self.pins.borrow());
         }
         self.on_commit.borrow_mut().truncate(sp.on_commit_len);
         self.on_abort.borrow_mut().truncate(sp.on_abort_len);
+        self.version_log.borrow_mut().truncate(sp.version_len);
     }
 
     /// Run `body` as a *closed nested* transaction: if it returns
@@ -469,11 +475,10 @@ impl Txn {
     }
 
     /// Record a successful key-lock acquisition in the fast-path cache.
-    /// Must only be called with a lock this transaction now holds.
-    pub(crate) fn lock_cache_insert(&self, table: u64, h1: u64, h2: u64, lock: &Arc<AbstractLock>) {
+    /// Must only be called for a lock this transaction now holds.
+    pub(crate) fn lock_cache_insert(&self, table: u64, h1: u64, h2: u64) {
         debug_assert_eq!(self.state.get(), TxnState::Active);
-        debug_assert_eq!(lock.owner(), Some(self.id));
-        self.lock_cache.borrow_mut().insert(table, h1, h2, lock);
+        self.lock_cache.borrow_mut().insert(table, h1, h2);
     }
 
     /// Test-only mutation hook: plant a cache entry for a lock this
@@ -484,14 +489,8 @@ impl Txn {
     /// Never call outside tests.
     #[cfg(feature = "deterministic")]
     #[doc(hidden)]
-    pub fn poison_lock_cache_for_test(
-        &self,
-        table: u64,
-        h1: u64,
-        h2: u64,
-        lock: &Arc<AbstractLock>,
-    ) {
-        self.lock_cache.borrow_mut().insert(table, h1, h2, lock);
+    pub fn poison_lock_cache_for_test(&self, table: u64, h1: u64, h2: u64) {
+        self.lock_cache.borrow_mut().insert(table, h1, h2);
     }
 
     /// Register a two-phase lock acquired on behalf of this transaction.
@@ -515,33 +514,58 @@ impl Txn {
         );
     }
 
-    /// Commit protocol: discard the undo log, release abstract locks,
-    /// then run deferred on-commit disposables.
+    /// Commit protocol: discard the undo log, stamp and install
+    /// versions, release abstract locks, wait until the commit is part
+    /// of every new snapshot, then run deferred on-commit disposables.
     fn do_commit(&self) {
         debug_assert_eq!(self.state.get(), TxnState::Active);
         self.state.set(TxnState::Committed);
         self.undo_log.borrow_mut().clear();
         self.on_abort.borrow_mut().clear();
-        // Stamp and install versions while abstract locks are still
-        // held: the timestamp is reserved inside the locked window, so
-        // timestamp order extends the lock-serialization order, and a
-        // conflicting writer cannot commit between our installs.
+        let mut stamped = None;
         if !self.version_log.borrow().is_empty() {
-            let domain = crate::mvcc::MvccDomain::global();
-            let ts = domain.clock.reserve();
             let installs = std::mem::take(&mut *self.version_log.borrow_mut());
+            // Under the deterministic scheduler, take each install's
+            // yield points before the timestamp is reserved: the
+            // reserve→publish window then holds no yield point, so no
+            // thread is ever parked by the scheduler while it holds an
+            // unpublished timestamp, and the frontier wait below never
+            // waits on a parked thread.
+            #[cfg(feature = "deterministic")]
+            for _ in 0..installs.len() {
+                crate::det::yield_point(crate::det::Point::VersionInstall);
+                crate::det::yield_point(crate::det::Point::VersionGc);
+            }
+            // Stamp and install versions while abstract locks are still
+            // held: the timestamp is reserved inside the locked window,
+            // so timestamp order extends the lock-serialization order,
+            // and a conflicting writer cannot commit between our
+            // installs.
+            let clock = &crate::mvcc::MvccDomain::global_ref().clock;
+            let ts = clock.reserve();
+            let pins = self.pins.borrow();
             crate::mvcc::with_commit_ts(ts, || {
                 for a in installs {
-                    a.invoke();
+                    a.invoke(&pins);
                 }
             });
-            domain.clock.publish(ts);
+            clock.publish(ts);
+            stamped = Some((clock, ts));
         }
         self.release_locks();
-        let actions = std::mem::take(&mut *self.on_commit.borrow_mut());
-        for a in actions {
-            a.invoke();
+        // Real-time order: once `commit` returns, every snapshot taken
+        // afterwards must include this commit, so wait (locks already
+        // released) until no older commit is still installing.
+        if let Some((clock, ts)) = stamped {
+            clock.wait_stable(ts);
         }
+        let actions = std::mem::take(&mut *self.on_commit.borrow_mut());
+        let pins = self.pins.borrow();
+        for a in actions {
+            a.invoke(&pins);
+        }
+        drop(pins);
+        self.pins.borrow_mut().clear();
     }
 
     /// Abort protocol: replay inverses LIFO *while still holding locks*
@@ -553,17 +577,20 @@ impl Txn {
         self.state.set(TxnState::Aborted);
         self.on_commit.borrow_mut().clear();
         self.version_log.borrow_mut().clear();
+        let pins = self.pins.borrow();
         if !self.undo_log.borrow().is_empty() {
             let inverses = std::mem::take(&mut *self.undo_log.borrow_mut());
             for inv in inverses.into_iter().rev() {
-                inv.invoke();
+                inv.invoke(&pins);
             }
         }
         self.release_locks();
         let actions = std::mem::take(&mut *self.on_abort.borrow_mut());
         for a in actions {
-            a.invoke();
+            a.invoke(&pins);
         }
+        drop(pins);
+        self.pins.borrow_mut().clear();
     }
 
     fn release_locks(&self) {
@@ -611,8 +638,33 @@ pub struct TxnManager {
 /// Transaction ids are drawn from one process-wide counter so that ids
 /// are unique even across multiple managers — abstract-lock ownership
 /// is keyed by [`TxnId`], and objects may be shared by transactions
-/// from different managers.
+/// from different managers. Threads take ids in blocks of
+/// [`ID_BLOCK`], so beginning a transaction writes this shared line
+/// once per block, not once per transaction.
 static NEXT_TXN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Ids a thread takes from [`NEXT_TXN_ID`] at a time. Ids stay unique
+/// and increase along each thread; across threads they are unordered.
+const ID_BLOCK: u64 = 1024;
+
+thread_local! {
+    /// This thread's unused id range `[next, end)`.
+    static ID_RANGE: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Mint a fresh, process-wide unique transaction id.
+fn next_txn_id() -> TxnId {
+    let raw = ID_RANGE.with(|r| {
+        let (mut next, mut end) = r.get();
+        if next == end {
+            next = NEXT_TXN_ID.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            end = next + ID_BLOCK;
+        }
+        r.set((next + 1, end));
+        next
+    });
+    TxnId(NonZeroU64::new(raw).expect("transaction id counter overflowed"))
+}
 
 impl Default for TxnManager {
     fn default() -> Self {
@@ -683,8 +735,7 @@ impl TxnManager {
     /// most code should prefer [`TxnManager::run`].
     pub fn begin(&self) -> Txn {
         self.stats.record_start();
-        let raw = NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed);
-        let id = TxnId(NonZeroU64::new(raw).expect("transaction id counter overflowed"));
+        let id = next_txn_id();
         crate::trace_event!(Begin { txn: id });
         Txn::new(id, self.config.lock_timeout, None)
     }
@@ -698,8 +749,7 @@ impl TxnManager {
     /// prefer [`TxnManager::run_read_only`].
     pub fn begin_read_only(&self) -> Txn {
         self.stats.record_start();
-        let raw = NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed);
-        let id = TxnId(NonZeroU64::new(raw).expect("transaction id counter overflowed"));
+        let id = next_txn_id();
         crate::trace_event!(Begin { txn: id });
         let snapshot = crate::mvcc::MvccDomain::global().begin_snapshot();
         Txn::new(id, self.config.lock_timeout, Some(snapshot))
@@ -1087,6 +1137,38 @@ mod tests {
         let b = tm.begin();
         let sp = a.savepoint();
         b.rollback_to(sp);
+    }
+
+    #[test]
+    fn pinned_inverses_replay_through_the_pin_table() {
+        let tm = TxnManager::default();
+        let cell = Arc::new(AtomicI64::new(0));
+        let txn = tm.begin();
+        cell.fetch_add(5, Ordering::SeqCst);
+        let pin = txn.pin(&cell);
+        assert_eq!(txn.pin(&cell), pin, "one pin per object");
+        txn.log_undo_pinned(move |p| {
+            p.get::<AtomicI64>(pin).fetch_add(-5, Ordering::SeqCst);
+        });
+        assert_eq!(Arc::strong_count(&cell), 2);
+        tm.abort(txn, AbortReason::Explicit);
+        assert_eq!(cell.load(Ordering::SeqCst), 0);
+        assert_eq!(Arc::strong_count(&cell), 1, "pins drop at abort");
+    }
+
+    #[test]
+    #[should_panic(expected = "another transaction")]
+    fn a_pin_id_is_useless_to_another_transaction() {
+        let tm = TxnManager::default();
+        let a = tm.begin();
+        let b = tm.begin();
+        let cell = Arc::new(AtomicI64::new(0));
+        let pin = a.pin(&cell);
+        b.pin(&cell);
+        b.log_undo_pinned(move |p| {
+            p.get::<AtomicI64>(pin).fetch_add(1, Ordering::SeqCst);
+        });
+        tm.abort(b, AbortReason::Explicit);
     }
 
     #[test]

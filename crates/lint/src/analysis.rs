@@ -394,7 +394,7 @@ impl FileAnalysis {
                 continue;
             }
             let kind = match t.text.as_str() {
-                "log_undo" => HandlerKind::Undo,
+                "log_undo" | "log_undo_pinned" => HandlerKind::Undo,
                 "defer_on_commit" => HandlerKind::DeferCommit,
                 "defer_on_abort" => HandlerKind::DeferAbort,
                 "log_version_install" => HandlerKind::VersionInstall,

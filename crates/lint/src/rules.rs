@@ -168,7 +168,7 @@ pub(crate) const ACQUIRE_METHODS: &[&str] =
 /// `yield_point` is implied for every `Point::*` marker; `block_tick`
 /// is required where a blocking wait must become a scheduling round.
 const YIELD_SITES: &[(&str, &str, &[&str])] = &[
-    ("crates/core/src/txn.rs", "log_undo", &["UndoPush"]),
+    ("crates/core/src/txn.rs", "log_undo_pinned", &["UndoPush"]),
     ("crates/core/src/txn.rs", "release_locks", &["LockRelease"]),
     ("crates/core/src/txn.rs", "commit", &["Commit"]),
     ("crates/core/src/txn.rs", "abort", &["Abort"]),

@@ -200,10 +200,22 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
             }
         }
 
+        // A connection with window room and input it has not consumed
+        // (an edge not yet read to `EAGAIN`, or a whole frame already
+        // buffered) will get no new readiness event for it: poll
+        // without blocking so a backlog deeper than one window drains
+        // at loop speed instead of one window per poll interval.
+        let window = shared.cfg.window.max(1);
+        let backlog = conns.iter().flatten().any(|c| {
+            !c.stop_reading && !c.dead && c.inflight < window && (c.readable || c.dec.has_frame())
+        });
+        let timeout = if backlog {
+            Duration::ZERO
+        } else {
+            shared.cfg.poll_interval
+        };
         epoll_wait_det();
-        let n = epoll
-            .wait(&mut events, Some(shared.cfg.poll_interval))
-            .unwrap_or_default();
+        let n = epoll.wait(&mut events, Some(timeout)).unwrap_or_default();
 
         let mut accept_ready = false;
         for ev in events.iter().take(n) {

@@ -1,7 +1,7 @@
 //! Deterministic-harness coverage for the multi-version read path:
 //! read-only snapshot transactions racing committing writers.
 //!
-//! Three behaviours are swept across seeds, plus one *mutation check*:
+//! Four behaviours are swept across seeds, plus one *mutation check*:
 //! with the reader-registry GC floor deliberately disabled (via a
 //! test-only hook on `MvccDomain`), chain GC must prune a version a
 //! registered snapshot reader is still pinning, and the sweep must
@@ -12,7 +12,8 @@
 //! mutation check flips a global flag the honest tests must never see.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use transactional_boosting::prelude::*;
 use txboost_core::MvccDomain;
 use txboost_sched::core_det as det;
@@ -167,6 +168,72 @@ fn counter_snapshots_are_stable_and_monotonic_on_every_seed() {
         |w, _report| {
             let total = w.tm.run(|t| w.ctr.get(t)).unwrap();
             assert_eq!(total, 9);
+        },
+    );
+}
+
+#[test]
+fn an_acked_commit_is_in_every_later_snapshot_on_every_seed() {
+    // Real-time order: once `tm.run` returns, a read-only transaction
+    // begun afterwards must see the commit — even while an older
+    // commit timestamp is still unpublished. A plain OS thread (outside
+    // the scheduler) reserves a timestamp before the run and publishes
+    // it only after the writer has started committing, so the writer's
+    // newer timestamp sits above a hole in the stable frontier. The
+    // writer must not return until the hole closes; if it did, the
+    // reader's snapshot (taken below the hole) would miss the write.
+    let _g = domain_guard();
+    struct W {
+        tm: TxnManager,
+        map: BoostedHashMap<i64, i64>,
+        committing: Arc<AtomicBool>,
+        written: AtomicBool,
+        holder: Mutex<Option<std::thread::JoinHandle<()>>>,
+    }
+    txboost_sched::sweep_setup(
+        txboost_sched::seeds_from_env(20),
+        2,
+        || {
+            let domain = MvccDomain::global();
+            let held = domain.clock.reserve();
+            let committing = Arc::new(AtomicBool::new(false));
+            let seen = Arc::clone(&committing);
+            let holder = std::thread::spawn(move || {
+                // Publish a little after the writer starts committing
+                // (or after a generous deadline, so a broken run can
+                // never hang the suite).
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !seen.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(2));
+                domain.clock.publish(held);
+            });
+            W {
+                tm: TxnManager::default(),
+                map: BoostedHashMap::new(),
+                committing,
+                written: AtomicBool::new(false),
+                holder: Mutex::new(Some(holder)),
+            }
+        },
+        |w, tid| {
+            if tid == 0 {
+                w.committing.store(true, Ordering::SeqCst);
+                w.tm.run(|t| w.map.put(t, 0, 7).map(|_| ())).unwrap();
+                w.written.store(true, Ordering::SeqCst);
+            } else {
+                spin_until(&w.written);
+                let seen =
+                    w.tm.run_read_only(|t| w.map.get(t, &0))
+                        .expect("a read-only txn can never abort");
+                assert_eq!(seen, Some(7), "snapshot after the ack missed the commit");
+            }
+        },
+        |w, _report| {
+            if let Some(h) = w.holder.lock().unwrap().take() {
+                h.join().unwrap();
+            }
         },
     );
 }
