@@ -32,7 +32,7 @@
 //! ## Bounded chains and GC
 //!
 //! * A commit does not return until `stable() >= ts`
-//!   ([`CommitClock::wait_stable`], after its abstract locks are
+//!   (`CommitClock::wait_stable`, after its abstract locks are
 //!   released). Without the wait, a commit whose timestamp sits above
 //!   an older commit still installing would return while invisible to
 //!   new snapshots, and a read-only transaction begun after it returned

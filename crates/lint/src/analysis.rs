@@ -51,7 +51,8 @@ pub enum HandlerKind {
     /// body: it is the only thread that can complete durability
     /// tickets, so a panic strands every in-flight commit.
     WalFlusher,
-    /// `.run_tick(...)` in crates/server — the event loop's dispatch
+    /// `.run_tick(...)` or `.run_tick_deferred(...)` (the form the
+    /// event loop calls) in crates/server — the event loop's dispatch
     /// closures: one loop multiplexes every connection pinned to it,
     /// so a panic there kills them all at once, mid-tick.
     EventLoop,
@@ -401,7 +402,7 @@ impl FileAnalysis {
                 "run" if in_server => HandlerKind::RetryClosure,
                 "replay" if in_server || in_wal => HandlerKind::WalReplay,
                 "spawn" if in_wal => HandlerKind::WalFlusher,
-                "run_tick" if in_server => HandlerKind::EventLoop,
+                "run_tick" | "run_tick_deferred" if in_server => HandlerKind::EventLoop,
                 _ => continue,
             };
             // Must be a method call: `.name(` — this skips the

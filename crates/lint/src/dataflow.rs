@@ -1,8 +1,7 @@
 //! Stage 2b of the CFG analyzer: the intraprocedural lockset/inverse
-//! dataflow pass. This replaces the PR-4 adjacency heuristics for
-//! Rule 2 (lock-before-mutate), Rule 3 (inverse-pairing), and Rule 4
-//! (two-phase) with path-sensitive versions, and adds the
-//! `branch-inverse-divergence` rule.
+//! dataflow pass. It checks Rule 2 (lock-before-mutate), Rule 3
+//! (inverse-pairing), and Rule 4 (two-phase) path-sensitively, and
+//! adds the `branch-inverse-divergence` rule.
 //!
 //! # The lattice
 //!

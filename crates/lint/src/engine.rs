@@ -78,10 +78,6 @@ pub struct Report {
     /// The workspace lock-acquisition-order graph (built over every
     /// linted file's transactional methods).
     pub lock_graph: Option<LockOrderGraph>,
-    /// `path::fn` of bodies the parser could not handle, which were
-    /// checked with the line heuristics instead. Non-empty is a smell:
-    /// the self-tests pin this to zero for the real boosted sources.
-    pub parse_fallbacks: Vec<String>,
 }
 
 impl Report {
@@ -99,7 +95,6 @@ impl Report {
         self.diagnostics.append(&mut other.diagnostics);
         self.inventory.append(&mut other.inventory);
         self.files += other.files;
-        self.parse_fallbacks.append(&mut other.parse_fallbacks);
     }
 
     fn sort(&mut self) {
@@ -167,7 +162,7 @@ fn lint_one(rel_path: &str, text: &str, mutation: TransferMutation) -> FileResul
             (rule.run)(&fa, &mut out);
         }
     }
-    let (fn_cfgs, fallbacks) = rules::cfg_pass(&fa, mutation, &mut out);
+    let fn_cfgs = rules::cfg_pass(&fa, mutation, &mut out);
     // Apply suppressions: a finding is silenced by an allow comment for
     // its rule targeting its line. Suppressions without a reason are
     // themselves findings — the policy requires a written justification.
@@ -202,10 +197,6 @@ fn lint_one(rel_path: &str, text: &str, mutation: TransferMutation) -> FileResul
             inventory: out.inventory,
             files: 1,
             lock_graph: None,
-            parse_fallbacks: fallbacks
-                .into_iter()
-                .map(|f| format!("{rel_path}::{f}"))
-                .collect(),
         },
         cfgs: FileCfgs {
             path: fa.path.clone(),

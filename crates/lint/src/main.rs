@@ -170,14 +170,6 @@ fn run() -> Result<ExitCode, String> {
             .unwrap_or_default(),
         graph_note
     );
-    if !report.parse_fallbacks.is_empty() {
-        eprintln!(
-            "txboost-lint: note: {} function(s) fell back to line heuristics (parser did not \
-             handle the body): {}",
-            report.parse_fallbacks.len(),
-            report.parse_fallbacks.join(", ")
-        );
-    }
     if args.deny_all && unsuppressed > 0 {
         return Ok(ExitCode::FAILURE);
     }

@@ -7,9 +7,10 @@
 //! language boosted methods are written in (`let`/`let-else`, `if`/
 //! `if let`, `match` with guards, `loop`/`while`/`for`, `?`, method
 //! chains, closures, macros-as-opaque-leaves, struct literals, casts)
-//! and reports a [`ParseError`] on anything else. The engine falls back
-//! to the PR-4 line rules for any function that fails to parse, so an
-//! exotic construct degrades precision, never correctness.
+//! and reports a [`ParseError`] on anything else. The engine reports a
+//! body that fails to parse as a `cfg-parse` finding, so an exotic
+//! construct in a boosted method fails the lint instead of going
+//! unchecked.
 //!
 //! Every AST node that matters for diagnostics carries the *original*
 //! token index from the lexer (not the cooked index), so downstream
@@ -269,10 +270,12 @@ fn walk_block(b: &Block, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// A parse failure: the function falls back to the line rules.
+/// A parse failure: where the parser stopped and what it expected.
 #[derive(Debug, Clone)]
 pub struct ParseError {
-    pub line: u32,
+    /// Original token index of the token the parser stopped at (the
+    /// body's last token at end of input).
+    pub tok: usize,
     pub what: String,
 }
 
@@ -362,11 +365,9 @@ impl Parser {
     }
 
     fn err(&self, what: &str) -> ParseError {
-        let (line, found) = self
-            .peek()
-            .map_or((0, "<eof>".to_string()), |t| (t.line, t.text.clone()));
+        let found = self.peek().map_or("<eof>", |t| t.text.as_str());
         ParseError {
-            line,
+            tok: self.peek().or(self.toks.last()).map_or(0, |t| t.lo),
             what: format!("{what}, found `{found}`"),
         }
     }

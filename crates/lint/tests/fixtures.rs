@@ -4,7 +4,8 @@
 //! proving every rule both fires and stays quiet.
 
 use std::path::{Path, PathBuf};
-use txboost_lint::{lint_tree, Report, RULES};
+use std::process::Command;
+use txboost_lint::{lint_source, lint_tree, Report, RULES};
 
 fn fixture_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -83,4 +84,38 @@ fn suppressed_finding_in_violations_tree_is_counted_but_silent() {
     // must still be silenced rather than double-reported).
     let report = lint_tree(&fixture_root("violations")).expect("lint violations tree");
     assert_eq!(report.suppressed().count(), 1);
+}
+
+#[test]
+fn an_unparseable_boosted_body_is_one_cfg_parse_finding_and_fails_deny_all() {
+    // The golden diagnostics pin the `cfg-parse` finding itself; here
+    // the parse failure alone must fail `--deny-all`: lint a tree
+    // holding only that file.
+    let root = fixture_root("violations");
+    let rel = "crates/boosted/src/bad_parse.rs";
+    let src = std::fs::read_to_string(root.join(rel)).expect("read bad_parse.rs");
+    let tree = std::env::temp_dir().join(format!("txboost-lint-cfg-parse-{}", std::process::id()));
+    let file = tree.join(rel);
+    std::fs::create_dir_all(file.parent().expect("fixture path has a parent"))
+        .expect("create scratch tree");
+    std::fs::write(&file, &src).expect("write scratch fixture");
+    let out = Command::new(env!("CARGO_BIN_EXE_txboost-lint"))
+        .arg("--path")
+        .arg(&tree)
+        .args(["--deny-all", "--quiet"])
+        .output()
+        .expect("run txboost-lint");
+    let _ = std::fs::remove_dir_all(&tree);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(": 1 finding(s)"), "{stdout}");
+
+    // Rewriting the construct clears the finding, and the now-parsed
+    // method passes every other rule.
+    let fixed = src.replace("delta << shift", "delta * u64::from(shift)");
+    let noisy: Vec<&str> = lint_source(rel, &fixed)
+        .unsuppressed()
+        .map(|d| d.rule)
+        .collect();
+    assert!(noisy.is_empty(), "{noisy:?}");
 }

@@ -20,4 +20,13 @@ impl BadLoop {
             },
         );
     }
+
+    pub fn tick_deferred(&mut self, reqs: Vec<(usize, Request)>) {
+        self.batcher.run_tick_deferred(
+            &self.exec,
+            reqs,
+            |req| (self.serve(req).unwrap(), None),
+            |idx, resp, durable| self.conns[idx].hold(resp, durable),
+        );
+    }
 }

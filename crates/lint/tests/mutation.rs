@@ -202,25 +202,16 @@ fn breaking_the_join_to_union_misses_the_planted_branch_bug() {
     );
 }
 
-// ----------------------------------- differential: CFG vs line rules
+// ------------------------------------ bugs only a path-sensitive rule sees
 
 #[test]
 fn cfg_rule_catches_the_error_path_the_line_heuristic_missed() {
-    // Satellite regression for the old Rule 3 false-negative class: the
-    // undo is logged after the mutation (so the order-based line rule
-    // pairs them and stays quiet), but a fallible call in between can
-    // exit with the mutation unlogged.
+    // Regression for the old order-based Rule 3 false-negative class:
+    // the undo is logged after the mutation (so pairing by token order
+    // stays quiet), but a fallible call in between can exit with the
+    // mutation unlogged.
     let rel = "crates/boosted/src/bad_distance.rs";
     let src = violation_fixture(rel);
-
-    let fa = txboost_lint::analysis::FileAnalysis::build(rel, &src);
-    let mut legacy_out = txboost_lint::engine::RuleOutput::default();
-    txboost_lint::rules::legacy::inverse_pairing(&fa, &mut legacy_out);
-    assert!(
-        legacy_out.diags.is_empty(),
-        "the PR-4 line rule was blind to this bug by construction, got {:?}",
-        legacy_out.diags
-    );
 
     let report = lint_source(rel, &src);
     assert!(
@@ -231,17 +222,10 @@ fn cfg_rule_catches_the_error_path_the_line_heuristic_missed() {
 
 #[test]
 fn cfg_rule_catches_the_one_branch_lock_the_line_heuristic_missed() {
+    // The acquisition comes earlier in the token stream, on one branch
+    // only: a token-order scan would call the base call covered.
     let rel = "crates/boosted/src/bad_branch_lock.rs";
     let src = violation_fixture(rel);
-
-    let fa = txboost_lint::analysis::FileAnalysis::build(rel, &src);
-    let mut legacy_out = txboost_lint::engine::RuleOutput::default();
-    txboost_lint::rules::legacy::lock_before_mutate(&fa, &mut legacy_out);
-    assert!(
-        legacy_out.diags.is_empty(),
-        "the PR-4 line rule saw an acquisition earlier in the token stream, got {:?}",
-        legacy_out.diags
-    );
 
     let report = lint_source(rel, &src);
     assert!(

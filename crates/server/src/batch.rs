@@ -42,13 +42,14 @@
 use crate::exec::{Executor, ScriptOutcome};
 #[cfg(feature = "deterministic")]
 use txboost_core::det;
+use txboost_wal::Ticket;
 use txboost_wire::{Guard, Op, Request, Response, ScriptOp, MAX_OPS_PER_SCRIPT};
 
 /// Commit-batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Master switch (`--no-batch` clears it). Off, every script runs
-    /// as its own transaction even on the event-loop plane.
+    /// as its own transaction.
     pub enabled: bool,
     /// Most scripts merged into one joint transaction.
     pub max_scripts: usize,
@@ -132,13 +133,37 @@ impl Batcher {
     /// to `other`, which computes its reply. All replies flow through
     /// `emit(token, response)` in arrival order — per-connection FIFO
     /// is the caller's invariant to keep, and it follows directly from
-    /// emission order here.
+    /// emission order here. A WAL-logged reply is emitted once its
+    /// record is durable.
     pub fn run_tick<T: Copy>(
         &self,
         exec: &Executor,
         requests: Vec<(T, Request)>,
         mut other: impl FnMut(Request) -> Response,
         mut emit: impl FnMut(T, Response),
+    ) {
+        self.run_tick_deferred(
+            exec,
+            requests,
+            |req| (other(req), None),
+            |token, resp, durable| {
+                if let Some(ticket) = durable {
+                    ticket.wait();
+                }
+                emit(token, resp);
+            },
+        );
+    }
+
+    /// [`Batcher::run_tick`] without the durability waits: each reply
+    /// is emitted at once with the group-commit ticket (if any) it must
+    /// not be sent before. `other` returns the same pair.
+    pub(crate) fn run_tick_deferred<T: Copy>(
+        &self,
+        exec: &Executor,
+        requests: Vec<(T, Request)>,
+        mut other: impl FnMut(Request) -> (Response, Option<Ticket>),
+        mut emit: impl FnMut(T, Response, Option<Ticket>),
     ) {
         let mut batch: Vec<(T, u64, Vec<ScriptOp>)> = Vec::new();
         let mut batch_ops = 0usize;
@@ -158,8 +183,8 @@ impl Batcher {
                     // scripts must commit before a later non-batchable
                     // request of the same connection executes.
                     seal(exec, &mut batch, &mut batch_ops, &mut emit);
-                    let resp = other(req);
-                    emit(token, resp);
+                    let (resp, durable) = other(req);
+                    emit(token, resp, durable);
                 }
             }
         }
@@ -172,7 +197,7 @@ fn seal<T: Copy>(
     exec: &Executor,
     batch: &mut Vec<(T, u64, Vec<ScriptOp>)>,
     batch_ops: &mut usize,
-    emit: &mut impl FnMut(T, Response),
+    emit: &mut impl FnMut(T, Response, Option<Ticket>),
 ) {
     *batch_ops = 0;
     if batch.is_empty() {
@@ -182,16 +207,16 @@ fn seal<T: Copy>(
     if batch.len() == 1 {
         // A run of one amortizes nothing; skip the joint machinery.
         if let Some((token, req_id, ops)) = batch.pop() {
-            let out = exec.execute(&ops);
-            emit(token, script_response(req_id, out));
+            let (out, durable) = exec.execute_deferred(&ops);
+            emit(token, script_response(req_id, out), durable);
         }
         return;
     }
-    let scripts: Vec<Vec<ScriptOp>> = batch.iter().map(|(_, _, ops)| ops.clone()).collect();
+    let scripts: Vec<&[ScriptOp]> = batch.iter().map(|(_, _, ops)| ops.as_slice()).collect();
     match exec.execute_batch(&scripts) {
-        Some(outcomes) => {
+        Some((outcomes, durable)) => {
             for ((token, req_id, _), out) in batch.drain(..).zip(outcomes) {
-                emit(token, script_response(req_id, out));
+                emit(token, script_response(req_id, out), durable.clone());
             }
         }
         None => {
@@ -200,8 +225,8 @@ fn seal<T: Copy>(
             // classic path: each script retries on its own, so no
             // client observes the merge.
             for (token, req_id, ops) in batch.drain(..) {
-                let out = exec.execute(&ops);
-                emit(token, script_response(req_id, out));
+                let (out, durable) = exec.execute_deferred(&ops);
+                emit(token, script_response(req_id, out), durable);
             }
         }
     }

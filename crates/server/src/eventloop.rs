@@ -1,8 +1,7 @@
-//! The event-driven I/O plane: raw `epoll`, one loop per core.
+//! The I/O plane: raw `epoll`, one loop per core by default.
 //!
-//! Readiness-based nonblocking multiplexing replaces the
-//! thread-per-connection readers: each loop owns an [`sys::Epoll`]
-//! instance, a clone of the listening socket, and every connection it
+//! Readiness-based nonblocking multiplexing: each loop owns an
+//! [`sys::Epoll`] instance, a clone of the listening socket, and every connection it
 //! accepted (connections are pinned to their accepting loop — no
 //! cross-loop handoff, no shared connection state). One iteration is a
 //! **poll tick**:
@@ -10,7 +9,7 @@
 //! 1. block in `epoll_wait` (bounded by the shutdown poll interval);
 //! 2. accept new connections (descriptor exhaustion backs the
 //!    acceptor off and sheds load instead of spinning — see
-//!    [`crate::threads::fd_exhausted`]);
+//!    [`fd_exhausted`]);
 //! 3. drain readable sockets edge-triggered into per-connection
 //!    resumable [`FrameDecoder`]s, decoding complete frames into the
 //!    tick's request queue — stopping per connection once its
@@ -23,6 +22,13 @@
 //! 5. flush write buffers until `EAGAIN`, arming `EPOLLOUT` interest
 //!    for whatever remains.
 //!
+//! With the WAL on, a loop never blocks on a commit's durability
+//! ticket. A logged commit's reply — and every later reply on its
+//! connection — is held until the record's fsync batch resolves; the
+//! WAL flusher fires the loop's wakeup when a batch does. Meanwhile
+//! the loop keeps executing, so one fsync can cover the commits of
+//! every connection, not one commit per loop.
+//!
 //! A graceful drain stops accepting, stops reading each connection at
 //! its next frame boundary (a mid-frame connection gets
 //! [`crate::ServerConfig::drain_grace`] to finish), executes every
@@ -31,18 +37,18 @@
 
 use crate::batch::{script_response, Batcher};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::threads::fd_exhausted;
 use crate::{proto_error_code, Shared};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 #[cfg(feature = "deterministic")]
 use txboost_core::det;
+use txboost_wal::Ticket;
 use txboost_wire as wire;
 use txboost_wire::{FrameDecoder, Request, Response, WireError};
 
@@ -56,28 +62,65 @@ const TOK_CONN0: u64 = 2;
 /// Read/condition interest for every connection.
 const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
-/// The loops' join handles plus each loop's shutdown wakeup.
-type LoopHandles = (Vec<JoinHandle<()>>, Vec<Arc<sys::EventFd>>);
+/// The loops' join handles plus each loop's wakeup.
+type LoopHandles = (Vec<JoinHandle<()>>, Vec<Arc<Wakeup>>);
 
-/// Spawn `cfg.event_loops` loops over clones of the bound listener.
-/// Returns the join handles and each loop's wakeup (fired by
-/// [`crate::Server::shutdown`] so a drain does not wait out the poll
-/// interval).
+/// A loop's cross-thread wakeup. [`crate::Server::shutdown`] fires it
+/// so a drain does not wait out the poll interval; the WAL flusher
+/// fires it after each fsync batch while the loop holds replies
+/// waiting on their records.
+pub(crate) struct Wakeup {
+    fd: sys::EventFd,
+    /// The loop holds at least one reply behind an unresolved ticket.
+    /// Set before the loop polls a ticket and the flusher reads it
+    /// after completing one (the ticket mutex orders the two), so a
+    /// completion is never missed.
+    awaits_durable: AtomicBool,
+}
+
+impl Wakeup {
+    pub(crate) fn fire(&self) {
+        self.fd.fire();
+    }
+
+    fn durable_batch_done(&self) {
+        if self.awaits_durable.load(Ordering::SeqCst) {
+            self.fd.fire();
+        }
+    }
+}
+
+/// Spawn `cfg.event_loops` loops (at least one) over clones of the
+/// bound listener, and point the WAL flusher (if any) at their
+/// wakeups. Returns the join handles and the wakeups.
 pub(crate) fn spawn_loops(shared: &Arc<Shared>, listener: &TcpListener) -> io::Result<LoopHandles> {
     let n = shared.cfg.event_loops.max(1);
+    let wakeups = (0..n)
+        .map(|_| {
+            Ok(Arc::new(Wakeup {
+                fd: sys::EventFd::new()?,
+                awaits_durable: AtomicBool::new(false),
+            }))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    if let Some(wal) = shared.exec.wal() {
+        let wakeups = wakeups.clone();
+        wal.set_durable_hook(move || {
+            for w in &wakeups {
+                w.durable_batch_done();
+            }
+        });
+    }
     let mut loops = Vec::with_capacity(n);
-    let mut wakeups = Vec::with_capacity(n);
-    for i in 0..n {
+    for (i, wake) in wakeups.iter().enumerate() {
         let listener = listener.try_clone()?;
-        let wake = Arc::new(sys::EventFd::new()?);
         let shared2 = Arc::clone(shared);
-        let wake2 = Arc::clone(&wake);
+        let wake2 = Arc::clone(wake);
         loops.push(
             std::thread::Builder::new()
                 .name(format!("txboost-eloop-{i}"))
                 .spawn(move || event_loop(&shared2, &listener, &wake2))?,
         );
-        wakeups.push(wake);
     }
     Ok((loops, wakeups))
 }
@@ -94,6 +137,10 @@ struct EConn {
     /// End offset (into `out`) of each pending reply, for window
     /// accounting across partial flushes.
     reply_ends: VecDeque<usize>,
+    /// Replies not yet encoded because they, or a reply before them,
+    /// wait for a WAL record to turn durable. Each carries its own
+    /// ticket, if logged.
+    held: VecDeque<(Response, Option<Ticket>)>,
     /// Decoded requests whose replies are not yet fully flushed.
     inflight: usize,
     /// `EPOLLOUT` interest is currently armed.
@@ -117,6 +164,7 @@ impl EConn {
             out: Vec::new(),
             out_pos: 0,
             reply_ends: VecDeque::new(),
+            held: VecDeque::new(),
             inflight: 0,
             want_write: false,
             readable: true,
@@ -126,8 +174,32 @@ impl EConn {
         }
     }
 
+    /// Queue one reply in FIFO order: encoded at once unless it waits
+    /// for its WAL record (`durable`) or queues behind one that does.
+    fn push_reply(&mut self, resp: Response, durable: Option<Ticket>) {
+        if durable.is_none() && self.held.is_empty() {
+            self.encode_reply(&resp);
+        } else {
+            self.held.push_back((resp, durable));
+        }
+    }
+
+    /// Encode held replies up to the first whose record is still not
+    /// durable (a failed fsync resolves the ticket too: the in-memory
+    /// commit stands and is acknowledged).
+    fn release_durable(&mut self) {
+        while let Some((_, durable)) = self.held.front() {
+            if durable.as_ref().is_some_and(|t| t.try_done().is_none()) {
+                return;
+            }
+            if let Some((resp, _)) = self.held.pop_front() {
+                self.encode_reply(&resp);
+            }
+        }
+    }
+
     /// Append one encoded reply to the write buffer.
-    fn push_reply(&mut self, resp: &Response) {
+    fn encode_reply(&mut self, resp: &Response) {
         // Writing into a Vec cannot fail; the result is plumbed
         // through because the encoder is generic over `io::Write`.
         let _ = wire::send_response(&mut self.out, resp);
@@ -141,16 +213,16 @@ impl EConn {
 }
 
 /// One event loop: accept, read, execute (batched), flush, repeat.
-fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd) {
+fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &Wakeup) {
     let Ok(epoll) = sys::Epoll::new() else {
         // Without an epoll instance this loop can serve nothing; the
-        // sibling loops (or the thread plane) still can.
+        // sibling loops still can.
         return;
     };
     let mut listener_registered = epoll
         .add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)
         .is_ok();
-    let _ = epoll.add(wake.raw(), EPOLLIN, TOK_WAKEUP);
+    let _ = epoll.add(wake.fd.raw(), EPOLLIN, TOK_WAKEUP);
 
     let batcher = Batcher::new(shared.cfg.batch.clone());
     let mut conns: Vec<Option<EConn>> = Vec::new();
@@ -161,6 +233,8 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
     let mut accept_backoff = shared.cfg.poll_interval.max(Duration::from_millis(1));
     let mut draining = false;
     let mut drain_deadline = Instant::now();
+    // Mirrors `wake.awaits_durable`.
+    let mut awaiting = false;
 
     loop {
         if !draining && shared.shutdown.load(Ordering::SeqCst) {
@@ -178,8 +252,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
             }
             if Instant::now() >= drain_deadline {
                 // Grace expired: drop stragglers (mid-frame stalls,
-                // unread replies) the way the thread plane abandons a
-                // stalled drain.
+                // unread replies).
                 for slot in &mut conns {
                     if let Some(conn) = slot.take() {
                         let _ = epoll.delete(conn.stream.as_raw_fd());
@@ -222,7 +295,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
             let (flags, token) = (ev.events, ev.data);
             match token {
                 TOK_LISTENER => accept_ready = true,
-                TOK_WAKEUP => wake.drain(),
+                TOK_WAKEUP => wake.fd.drain(),
                 tok => {
                     let idx = (tok - TOK_CONN0) as usize;
                     if let Some(Some(conn)) = conns.get_mut(idx) {
@@ -264,50 +337,60 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
         }
 
         // Execute the tick's requests in arrival order, coalescing
-        // eligible runs into joint transactions. Replies land in each
-        // connection's write buffer in emission order, so
-        // per-connection FIFO holds whether a script was batched or
-        // not.
+        // eligible runs into joint transactions. Replies queue on each
+        // connection in emission order, so per-connection FIFO holds
+        // whether a script was batched or not.
         if !tickq.is_empty() {
             let requests = std::mem::take(&mut tickq);
-            batcher.run_tick(
+            batcher.run_tick_deferred(
                 &shared.exec,
                 requests,
                 |req| match req {
                     Request::Script { req_id, ops } => {
-                        script_response(req_id, shared.exec.execute(&ops))
+                        let (out, durable) = shared.exec.execute_deferred(&ops);
+                        (script_response(req_id, out), durable)
                     }
                     Request::ReadOnlyScript { req_id, ops } => {
                         // Snapshot reads skip the lock manager, the
                         // retry loop, the WAL — and the batcher.
-                        script_response(req_id, shared.exec.execute_read_only(&ops))
+                        let out = shared.exec.execute_read_only(&ops);
+                        (script_response(req_id, out), None)
                     }
-                    Request::Stats { req_id } => Response::Stats {
-                        req_id,
-                        json: shared.exec.stats_json(),
-                    },
-                    Request::Ping { req_id } => Response::Pong { req_id },
+                    Request::Stats { req_id } => {
+                        let json = shared.exec.stats_json();
+                        (Response::Stats { req_id, json }, None)
+                    }
+                    Request::Ping { req_id } => (Response::Pong { req_id }, None),
                     Request::Shutdown { req_id } => {
                         shared.shutdown.store(true, Ordering::SeqCst);
-                        Response::ShutdownAck { req_id }
+                        (Response::ShutdownAck { req_id }, None)
                     }
                 },
-                |idx, resp| {
+                |idx, resp, durable| {
                     if let Some(Some(conn)) = conns.get_mut(idx) {
                         if matches!(resp, Response::ShutdownAck { .. }) {
                             conn.stop_reading = true;
                         }
-                        conn.push_reply(&resp);
+                        conn.push_reply(resp, durable);
                     }
                 },
             );
         }
 
-        // Flush and sweep.
+        // Release durable replies, flush and sweep.
+        let mut holding = false;
         for idx in 0..conns.len() {
             let Some(Some(conn)) = conns.get_mut(idx) else {
                 continue;
             };
+            if !conn.held.is_empty() {
+                if !awaiting {
+                    wake.awaits_durable.store(true, Ordering::SeqCst);
+                    awaiting = true;
+                }
+                conn.release_durable();
+                holding |= !conn.held.is_empty();
+            }
             let mut drained = !conn.has_unsent();
             if !drained && !conn.dead {
                 drained = flush_conn(conn);
@@ -334,7 +417,17 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &sys::EventFd)
                 free.push(idx);
             }
         }
+        if awaiting && !holding {
+            wake.awaits_durable.store(false, Ordering::SeqCst);
+            awaiting = false;
+        }
     }
+}
+
+/// Whether an accept failure means descriptor exhaustion
+/// (`EMFILE` = 24, `ENFILE` = 23).
+fn fd_exhausted(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
 }
 
 /// Accept until `EAGAIN`. Descriptor exhaustion (`EMFILE`/`ENFILE`)
@@ -427,8 +520,8 @@ fn service_read(
                 Ok(Some(payload)) => match wire::decode_request(&payload) {
                     Ok(req) => {
                         if matches!(req, Request::Shutdown { .. }) {
-                            // Mirror the thread plane: nothing is read
-                            // past a shutdown request.
+                            // Nothing is read past a shutdown
+                            // request.
                             conn.stop_reading = true;
                         }
                         conn.inflight += 1;
@@ -453,7 +546,7 @@ fn service_read(
         }
         if conn.peer_eof {
             // All complete frames are decoded; a partial tail is
-            // truncation, dropped like the thread plane drops it.
+            // truncation and is dropped.
             conn.stop_reading = true;
             return;
         }
@@ -487,11 +580,12 @@ fn proto_error(conn: &mut EConn, shared: &Arc<Shared>, err: &WireError) {
         .conns
         .proto_errors
         .fetch_add(1, Ordering::Relaxed);
-    conn.push_reply(&Response::Error {
+    let resp = Response::Error {
         req_id: 0,
         code: proto_error_code(err),
         message: err.to_string(),
-    });
+    };
+    conn.push_reply(resp, None);
     conn.stop_reading = true;
 }
 

@@ -35,12 +35,13 @@ pub struct ScriptOutcome {
     /// reply: `Some(true)` for a WAL-logged commit whose fsync batch
     /// completed, `Some(false)` if the WAL hit an I/O error (the
     /// in-memory commit stands), `None` when no record was logged
-    /// (WAL off, read-only script, or not committed).
+    /// (WAL off, read-only script, or not committed), and from the
+    /// entry points that hand the ticket back instead of waiting.
     pub wal_durable: Option<bool>,
 }
 
-/// Connection-level counters, shared between the acceptors, the
-/// readers and the stats document.
+/// Connection-level counters, shared between the event loops and the
+/// stats document.
 #[derive(Debug, Default)]
 pub struct ConnMetrics {
     /// Connections ever accepted.
@@ -50,8 +51,9 @@ pub struct ConnMetrics {
     /// Protocol errors (each closed one connection).
     pub proto_errors: AtomicU64,
     /// Accepts that failed on descriptor exhaustion (`EMFILE`/
-    /// `ENFILE`) or a reader-spawn failure; each shed one connection
-    /// attempt and backed the acceptor off instead of spinning.
+    /// `ENFILE`), which backs the loop's acceptor off instead of
+    /// spinning, or accepted connections that could not be registered
+    /// with the loop's epoll instance. Each shed one connection.
     pub accept_errors: AtomicU64,
 }
 
@@ -122,7 +124,7 @@ impl Executor {
     }
 
     /// Stop and join the WAL flusher (no-op when WAL is off). Call
-    /// after the workers have drained: everything they enqueued gets
+    /// after the event loops have drained: everything they enqueued gets
     /// flushed before this returns.
     pub fn shutdown_wal(&self) {
         if let Some(wal) = self.wal.get() {
@@ -149,7 +151,20 @@ impl Executor {
 
     /// Run `ops` as one boosted transaction. Never panics on behalf of
     /// the script: every abort path is mapped to a [`ScriptStatus`].
+    /// With a WAL attached, a logged commit returns only once its
+    /// record is durable.
     pub fn execute(&self, ops: &[ScriptOp]) -> ScriptOutcome {
+        let (mut out, ticket) = self.execute_deferred(ops);
+        out.wal_durable = ticket.map(|t| t.wait());
+        out
+    }
+
+    /// [`Executor::execute`] without the durability wait: a logged
+    /// commit comes back with its group-commit ticket, unresolved, and
+    /// `wal_durable: None`. The caller must hold the reply until the
+    /// ticket resolves — the event loop does, so it keeps serving
+    /// while many commits share one fsync.
+    pub(crate) fn execute_deferred(&self, ops: &[ScriptOp]) -> (ScriptOutcome, Option<Ticket>) {
         let t0 = Instant::now();
         let mut attempts: u32 = 0;
         let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
@@ -214,21 +229,21 @@ impl Executor {
         if status != ScriptStatus::Committed {
             results.clear();
         }
-        // Group commit: block until the record's fsync batch is
-        // durable, so the client's acknowledgement implies durability.
-        let wal_durable = match wal_ticket.take() {
-            Some(ticket) if status == ScriptStatus::Committed => Some(ticket.wait()),
-            _ => None,
-        };
+        // Group commit: the record's ticket goes back to the caller,
+        // whose acknowledgement must wait for it.
+        let ticket = wal_ticket
+            .take()
+            .filter(|_| status == ScriptStatus::Committed);
         self.script_hist.record_duration(t0.elapsed());
         self.status_counts[status_index(status)].fetch_add(1, Ordering::Relaxed);
-        ScriptOutcome {
+        let out = ScriptOutcome {
             status,
             attempts,
             failed_op,
             results,
-            wal_durable,
-        }
+            wal_durable: None,
+        };
+        (out, ticket)
     }
 
     /// Run several independent single-object scripts as **one** joint
@@ -245,31 +260,41 @@ impl Executor {
     /// (conflict races with other event loops exhausting retries) —
     /// the caller then re-runs each script individually, so clients
     /// never observe the merge.
-    pub fn execute_batch(&self, scripts: &[Vec<ScriptOp>]) -> Option<Vec<ScriptOutcome>> {
+    ///
+    /// Unlike [`Executor::execute`], it does not wait for
+    /// durability: the joint record's one ticket comes back unresolved
+    /// (`wal_durable` stays `None`), and no script may be acknowledged
+    /// before it resolves.
+    pub fn execute_batch(
+        &self,
+        scripts: &[&[ScriptOp]],
+    ) -> Option<(Vec<ScriptOutcome>, Option<Ticket>)> {
         let t0 = Instant::now();
         let n = scripts.len();
-        let total_ops: usize = scripts.iter().map(Vec::len).sum();
+        let total_ops: usize = scripts.iter().map(|ops| ops.len()).sum();
         let mut attempts: u32 = 0;
         let mut results: Vec<Vec<OpResult>> = Vec::with_capacity(n);
         // `run_op`'s failure slot: never set here, because eligible
         // scripts contain no `DebugAbort`.
         let failed: Cell<Option<(u16, bool)>> = Cell::new(None);
         let wal_ticket: Cell<Option<Ticket>> = Cell::new(None);
-        let logs_wal =
-            self.wal.get().is_some() && scripts.iter().flatten().any(|sop| op_mutates(&sop.op));
+        let logs_wal = self.wal.get().is_some()
+            && scripts
+                .iter()
+                .any(|ops| ops.iter().any(|sop| op_mutates(&sop.op)));
         // One record for the whole batch: recovery replays the
         // concatenation as one transaction, which rebuilds the same
         // state the joint commit produced. Built once — the scripts do
         // not change across retries.
         let joined: Vec<ScriptOp> = if logs_wal {
-            scripts.iter().flatten().cloned().collect()
+            scripts.concat()
         } else {
             Vec::new()
         };
         let run = self.tm.run(|txn| {
             attempts = attempts.saturating_add(1);
             results.clear();
-            for ops in scripts {
+            for &ops in scripts {
                 let mut rs = Vec::with_capacity(ops.len());
                 for (i, sop) in ops.iter().enumerate() {
                     rs.push(self.run_op(txn, &sop.op, i as u16, &failed)?);
@@ -287,7 +312,6 @@ impl Executor {
             self.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let wal_durable = wal_ticket.take().map(|ticket| ticket.wait());
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_scripts.fetch_add(n as u64, Ordering::Relaxed);
         self.status_counts[status_index(ScriptStatus::Committed)]
@@ -298,7 +322,7 @@ impl Executor {
         let elapsed = t0.elapsed();
         let per_op = elapsed / (total_ops.max(1) as u32);
         let per_script = elapsed / (n.max(1) as u32);
-        for ops in scripts {
+        for &ops in scripts {
             for sop in ops {
                 if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
                     hist.record_duration(per_op);
@@ -306,18 +330,17 @@ impl Executor {
             }
             self.script_hist.record_duration(per_script);
         }
-        Some(
-            results
-                .into_iter()
-                .map(|rs| ScriptOutcome {
-                    status: ScriptStatus::Committed,
-                    attempts,
-                    failed_op: None,
-                    results: rs,
-                    wal_durable,
-                })
-                .collect(),
-        )
+        let outs = results
+            .into_iter()
+            .map(|rs| ScriptOutcome {
+                status: ScriptStatus::Committed,
+                attempts,
+                failed_op: None,
+                results: rs,
+                wal_durable: None,
+            })
+            .collect();
+        Some((outs, wal_ticket.take()))
     }
 
     /// Run `ops` as one **read-only snapshot transaction**: no abstract
@@ -1013,7 +1036,9 @@ mod tests {
                 op(Op::CounterGet { obj: "c".into() }),
             ],
         ];
-        let outs = e.execute_batch(&scripts).expect("joint commit");
+        let scripts: Vec<&[ScriptOp]> = scripts.iter().map(Vec::as_slice).collect();
+        let (outs, ticket) = e.execute_batch(&scripts).expect("joint commit");
+        assert!(ticket.is_none(), "no WAL attached");
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].status, ScriptStatus::Committed);
         assert_eq!(outs[0].results, vec![OpResult::Unit]);
@@ -1051,16 +1076,12 @@ mod tests {
         );
         wal.spawn_flusher().unwrap();
         e.attach_wal(wal);
-        let scripts: Vec<Vec<ScriptOp>> = (0..4)
-            .map(|_| {
-                vec![op(Op::CounterAdd {
-                    obj: "c".into(),
-                    delta: 1,
-                })]
-            })
-            .collect();
-        let outs = e.execute_batch(&scripts).expect("joint commit");
-        assert!(outs.iter().all(|o| o.wal_durable == Some(true)));
+        let add = [op(Op::CounterAdd {
+            obj: "c".into(),
+            delta: 1,
+        })];
+        let (_, ticket) = e.execute_batch(&[&add[..]; 4]).expect("joint commit");
+        assert!(ticket.expect("one ticket for the run").wait(), "durable");
         e.shutdown_wal();
         let log = recover(storage.as_ref()).unwrap();
         assert_eq!(log.records.len(), 1, "one record for the whole batch");

@@ -1,8 +1,7 @@
 //! The `txboost-server` binary.
 //!
 //! ```text
-//! txboost-server [--addr 127.0.0.1:7411] [--workers N] [--acceptors N]
-//!                [--io epoll|threads] [--event-loops N]
+//! txboost-server [--addr 127.0.0.1:7411] [--event-loops N]
 //!                [--no-batch] [--batch-max N]
 //!                [--window N] [--max-frame BYTES]
 //!                [--lock-timeout-us N] [--max-retries N]
@@ -10,11 +9,10 @@
 //!                [--wal-dir PATH] [--wal-batch N] [--wal-segment-bytes N]
 //! ```
 //!
-//! `--io` picks the I/O plane: `epoll` (default on Linux) multiplexes
-//! all connections over `--event-loops` readiness loops and coalesces
-//! same-tick single-object scripts into joint commits (`--no-batch`
-//! disables the coalescing, `--batch-max` caps scripts per batch);
-//! `threads` is the classic thread-per-connection plane.
+//! All connections are multiplexed over `--event-loops` epoll
+//! readiness loops (default one per core), which coalesce same-tick
+//! single-object scripts into joint commits (`--no-batch` disables
+//! the coalescing, `--batch-max` caps scripts per batch).
 //!
 //! With `--wal-dir` the server recovers and replays the write-ahead
 //! log in PATH before accepting connections, then logs every
@@ -27,7 +25,7 @@
 //! the process exits 0.
 
 use std::time::Duration;
-use txboost_server::{IoModel, Server, ServerConfig, WalServerConfig};
+use txboost_server::{Server, ServerConfig, WalServerConfig};
 
 fn main() {
     let mut cfg = ServerConfig::default();
@@ -39,15 +37,6 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = val(),
-            "--workers" => cfg.workers = val().parse().expect("bad --workers"),
-            "--acceptors" => cfg.acceptors = val().parse().expect("bad --acceptors"),
-            "--io" => {
-                cfg.io = match val().as_str() {
-                    "epoll" => IoModel::Epoll,
-                    "threads" => IoModel::Threads,
-                    other => panic!("bad --io {other} (expected epoll|threads)"),
-                };
-            }
             "--event-loops" => cfg.event_loops = val().parse().expect("bad --event-loops"),
             "--no-batch" => cfg.batch.enabled = false,
             "--batch-max" => cfg.batch.max_scripts = val().parse().expect("bad --batch-max"),
@@ -87,11 +76,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: txboost-server [--addr HOST:PORT] [--workers N] [--acceptors N] \
-                     [--io epoll|threads] [--event-loops N] [--no-batch] [--batch-max N] \
-                     [--window N] [--max-frame BYTES] [--lock-timeout-us N] [--max-retries N] \
-                     [--default-sem-permits N] [--wal-dir PATH] [--wal-batch N] \
-                     [--wal-segment-bytes N]"
+                    "usage: txboost-server [--addr HOST:PORT] [--event-loops N] [--no-batch] \
+                     [--batch-max N] [--window N] [--max-frame BYTES] [--lock-timeout-us N] \
+                     [--max-retries N] [--default-sem-permits N] [--wal-dir PATH] \
+                     [--wal-batch N] [--wal-segment-bytes N]"
                 );
                 return;
             }
@@ -102,7 +90,6 @@ fn main() {
         }
     }
 
-    #[cfg(unix)]
     txboost_server::signal::install();
 
     let server = match Server::bind(cfg) {

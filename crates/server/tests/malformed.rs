@@ -12,8 +12,6 @@ use txboost_wire::{recv_response, ProtoErrorCode, Response, ScriptStatus, MAX_FR
 fn start_server() -> Server {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        acceptors: 1,
-        workers: 2,
         ..ServerConfig::default()
     })
     .expect("bind test server")

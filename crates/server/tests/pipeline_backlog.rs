@@ -8,12 +8,10 @@
 //! window waits out a full `poll_interval` (25 ms): 3,200 pings through
 //! a window of 32 would take 100 intervals, about 2.5 s.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use txboost_server::{IoModel, Server, ServerConfig};
+use txboost_server::{Server, ServerConfig};
 use txboost_wire::{recv_response, Request, Response, MAX_FRAME_LEN};
 
 const PINGS: u64 = 3_200;
@@ -22,7 +20,6 @@ const PINGS: u64 = 3_200;
 fn pipelined_backlog_of_many_windows_is_answered_promptly() {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        io: IoModel::Epoll,
         ..ServerConfig::default()
     };
     assert!(

@@ -6,8 +6,6 @@
 //! `Committed` reply from a `--wal-dir` server holds a durable commit,
 //! whatever happens to the process afterwards.
 
-#![cfg(unix)]
-
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -1,4 +1,4 @@
-//! Group commit: workers enqueue commit records and block on a
+//! Group commit: executors enqueue commit records and wait on (or poll) a
 //! [`Ticket`]; a dedicated flusher drains the queue in batches, writes
 //! and fsyncs once per batch, and completes the tickets only after the
 //! batch is durable. LSNs are assigned at enqueue time — the caller
@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -124,6 +124,9 @@ pub struct GroupCommitWal {
     metrics: Arc<DurabilityMetrics>,
     batch_max: usize,
     flusher: Mutex<Option<JoinHandle<()>>>,
+    /// Runs after every batch's tickets resolve, so a caller that
+    /// polls tickets instead of blocking on them learns when to look.
+    on_durable: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl std::fmt::Debug for GroupCommitWal {
@@ -160,7 +163,15 @@ impl GroupCommitWal {
             metrics,
             batch_max: cfg.batch_max.max(1),
             flusher: Mutex::new(None),
+            on_durable: OnceLock::new(),
         })
+    }
+
+    /// Install the hook the flusher runs after each batch's tickets
+    /// resolve (durable or failed). Set once, before any ticket is
+    /// polled; later calls are ignored.
+    pub fn set_durable_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.on_durable.set(Box::new(hook));
     }
 
     /// The shared durability metrics (append/fsync histograms and
@@ -244,6 +255,9 @@ impl GroupCommitWal {
         }
         for p in batch {
             p.ticket.complete(ok);
+        }
+        if let Some(hook) = self.on_durable.get() {
+            hook();
         }
         true
     }
@@ -379,6 +393,24 @@ mod tests {
         assert_eq!(log.records.len(), 50);
         // Enqueue after shutdown fails fast instead of hanging.
         assert!(!wal.enqueue(&script(99)).wait());
+    }
+
+    #[test]
+    fn durable_hook_runs_after_the_batch_resolves() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let storage = Arc::new(SimStorage::new(9));
+        let wal = Arc::new(new_wal(&storage, 2));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let tickets: Vec<Ticket> = (0..3).map(|k| wal.enqueue(&script(k))).collect();
+        let seen = Arc::clone(&fired);
+        let first = tickets[0].clone();
+        wal.set_durable_hook(move || {
+            assert_eq!(first.try_done(), Some(true), "hook runs after completion");
+            seen.fetch_add(1, Ordering::SeqCst);
+        });
+        while wal.flush_once() {}
+        assert_eq!(fired.load(Ordering::SeqCst), 2, "one call per batch of two");
+        assert!(tickets.iter().all(|t| t.try_done() == Some(true)));
     }
 
     #[test]
