@@ -15,16 +15,20 @@
 //! * a 3-operation boosted-map transaction performs **zero** heap
 //!   allocations end to end (measured by a counting global allocator);
 //! * so does an 8-key read-modify-write transaction on a shared boosted
-//!   map (`allocs_per_txn_map_write`), the `hot_locks` write shape;
+//!   map (`allocs_per_txn_map_write`), the `hot_locks` write shape, and
+//!   an 8-key locked-read one (`allocs_per_txn_map_read`);
 //! * small undo closures stay inline in the log; oversized ones are
 //!   boxed and *counted* (the sanity check that the allocator
 //!   instrumentation actually observes boxing).
 //!
-//! It also runs that 8-key transaction on 1 and on 2 threads, each
-//! thread on its own keys of one shared map, and reports
-//! `scaling_2t_over_1t` (total throughput at 2 threads over 1). Disjoint
-//! keys commute, so nothing but shared cache lines can keep this below
-//! 2; it is reported, not gated (it depends on the host's cores).
+//! It also runs that 8-key transaction, and an 8-key locked-read one
+//! (eight `get`s: the `hot_locks` read shape), on 1 and on 2 threads,
+//! each thread on its own keys of one shared map, and reports
+//! `scaling_2t_over_1t` and `read_scaling_2t_over_1t` (total throughput
+//! at 2 threads over 1). Disjoint keys commute, so nothing but shared
+//! cache lines can keep these below 2; they are reported, not gated
+//! (they depend on the host's cores). The read transaction must not
+//! allocate either (`allocs_per_txn_map_read`).
 //!
 //! Results go to the console and to `BENCH_hotpath.json` (the meta
 //! block carries the CI-asserted scalars; the series carries ops/sec
@@ -335,14 +339,23 @@ fn bench_map3(iters: u64) -> Measurement {
     })
 }
 
-/// `threads` threads each run `iters` 8-key read-modify-write
-/// transactions (a `remove` and a `put` per key, ascending) on their
-/// own keys of one shared boosted map. Timing and the allocation count
-/// cover only the window between two barriers, after every thread is
-/// spawned and before any exits, so thread start-up is not counted.
-/// `ns_per_op` is wall time per committed transaction, all threads
-/// together (the reciprocal of total throughput).
-fn bench_disjoint(label: &'static str, threads: u64, iters: u64) -> Measurement {
+/// The transaction a disjoint-keys series runs on each of its keys.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// A `remove` and a `put` per key: the `hot_locks` write shape.
+    ReadModifyWrite,
+    /// One locked `get` per key: the `hot_locks` read shape.
+    LockedRead,
+}
+
+/// `threads` threads each run `iters` 8-key transactions of `shape`
+/// (keys ascending) on their own keys of one shared boosted map. Timing
+/// and the allocation count cover only the window between two barriers,
+/// after every thread is spawned and before any exits, so thread
+/// start-up is not counted. `ns_per_op` is wall time per committed
+/// transaction, all threads together (the reciprocal of total
+/// throughput).
+fn bench_disjoint(label: &'static str, shape: Shape, threads: u64, iters: u64) -> Measurement {
     let tm = TxnManager::default();
     let map = BoostedHashMap::<u64, i64>::new();
     tm.run(|t| {
@@ -367,8 +380,15 @@ fn bench_disjoint(label: &'static str, threads: u64, iters: u64) -> Measurement 
                     for _ in 0..iters {
                         tm.run(|txn| {
                             for k in keys.clone() {
-                                let v = map.remove(txn, &k)?.unwrap_or(0);
-                                map.put(txn, k, v + 1)?;
+                                match shape {
+                                    Shape::ReadModifyWrite => {
+                                        let v = map.remove(txn, &k)?.unwrap_or(0);
+                                        map.put(txn, k, v + 1)?;
+                                    }
+                                    Shape::LockedRead => {
+                                        std::hint::black_box(map.get(txn, &k)?);
+                                    }
+                                }
                             }
                             Ok(())
                         })
@@ -384,10 +404,14 @@ fn bench_disjoint(label: &'static str, threads: u64, iters: u64) -> Measurement 
             allocs_per_txn = allocs_per_txn.min((allocations() - a0).div_ceil(txns));
         });
     }
+    let increments = match shape {
+        Shape::ReadModifyWrite => REPS as u64 * txns * DISJOINT_KEYS,
+        Shape::LockedRead => 0,
+    };
     assert_eq!(
         map.snapshot().iter().map(|(_, v)| *v).sum::<i64>(),
-        i64::try_from(REPS as u64 * txns * DISJOINT_KEYS).unwrap(),
-        "an increment was lost"
+        i64::try_from(increments).unwrap(),
+        "an increment was lost or a read wrote"
     );
     Measurement {
         label,
@@ -407,9 +431,14 @@ fn main() {
     let log_inline = bench_log_inline(args.iters);
     let log_boxed = bench_log_boxed(args.iters / 4);
     let map3 = bench_map3(args.iters);
-    let write1 = bench_disjoint("map 8-key rmw txn", 1, args.iters / 4);
-    let write2 = bench_disjoint("map 8-key rmw txn", 2, args.iters / 4);
+    let rmw = Shape::ReadModifyWrite;
+    let write1 = bench_disjoint("map 8-key rmw txn", rmw, 1, args.iters / 4);
+    let write2 = bench_disjoint("map 8-key rmw txn", rmw, 2, args.iters / 4);
     let scaling = write1.ns_per_op / write2.ns_per_op;
+    let read = Shape::LockedRead;
+    let read1 = bench_disjoint("map 8-key read txn", read, 1, args.iters / 4);
+    let read2 = bench_disjoint("map 8-key read txn", read, 2, args.iters / 4);
+    let read_scaling = read1.ns_per_op / read2.ns_per_op;
 
     let all = [
         &empty,
@@ -420,6 +449,8 @@ fn main() {
         &map3,
         &write1,
         &write2,
+        &read1,
+        &read2,
     ];
     for m in all {
         m.print();
@@ -440,14 +471,20 @@ fn main() {
         write1.allocs_per_txn, 0,
         "an 8-key boosted-map write transaction must not allocate"
     );
+    assert_eq!(
+        read1.allocs_per_txn, 0,
+        "an 8-key boosted-map read transaction must not allocate"
+    );
     assert_eq!(log_inline.allocs_per_txn, 0, "inline undo pushes allocated");
     assert!(
         log_boxed.allocs_per_txn >= LOG_PUSHES,
         "boxed pushes must be visible to the counting allocator"
     );
-    println!("disjoint 8-key txns: 2 threads / 1 thread throughput = {scaling:.2}");
+    println!("disjoint 8-key rmw txns: 2 threads / 1 thread throughput = {scaling:.2}");
+    println!("disjoint 8-key read txns: 2 threads / 1 thread throughput = {read_scaling:.2}");
     println!(
-        "invariants: reacquire < first-acquire; map 3-op and 8-key write txns allocation-free"
+        "invariants: reacquire < first-acquire; map 3-op, 8-key write and 8-key read txns \
+         allocation-free"
     );
 
     if let Some(dir) = args.out_dir {
@@ -466,6 +503,10 @@ fn main() {
             .meta("map_write_1t_ns", format!("{:.1}", write1.ns_per_op))
             .meta("map_write_2t_ns", format!("{:.1}", write2.ns_per_op))
             .meta("scaling_2t_over_1t", format!("{scaling:.2}"))
+            .meta("allocs_per_txn_map_read", read1.allocs_per_txn.to_string())
+            .meta("map_read_1t_ns", format!("{:.1}", read1.ns_per_op))
+            .meta("map_read_2t_ns", format!("{:.1}", read2.ns_per_op))
+            .meta("read_scaling_2t_over_1t", format!("{read_scaling:.2}"))
             .meta(
                 "allocs_per_txn_log_inline",
                 log_inline.allocs_per_txn.to_string(),

@@ -17,7 +17,7 @@ enum SetLocks<K> {
     Coarse(TxMutex),
 }
 
-impl<K: Hash + Eq + Clone> SetLocks<K> {
+impl<K: Hash + Eq + Clone + Send + Sync + 'static> SetLocks<K> {
     fn lock(&self, txn: &Txn, key: &K) -> TxResult<()> {
         match self {
             SetLocks::PerKey(map) => map.lock(txn, key),

@@ -39,9 +39,12 @@ pub enum Point {
     LockBlocked,
     /// A two-phase lock is about to be released at commit/abort.
     LockRelease,
-    /// A timed-out `KeyLockMap` acquisition is about to unregister the
-    /// per-key entry it created.
-    LockCleanup,
+    /// A `KeyLockMap` acquisition loaded its shard's index and is about
+    /// to probe it without a lock (the index may be replaced meanwhile).
+    LockLookup,
+    /// A `KeyLockMap` lookup missed and is about to take the shard's
+    /// insert mutex to create the entry (or find it created).
+    LockInsert,
     /// A `KeyLockMap` acquisition was answered from the transaction's
     /// lock-handle cache without touching the shared table.
     LockCacheHit,

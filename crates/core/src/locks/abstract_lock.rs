@@ -91,8 +91,10 @@ pub struct AbstractLock {
     state: AtomicU64,
     /// Number of waiters parked (or committed to parking) on `cv`.
     /// Serves as the condvar's guarded state and lets the last leaving
-    /// waiter avoid re-propagating [`WAITERS`].
-    park: Mutex<usize>,
+    /// waiter avoid re-propagating [`WAITERS`]. A `u32` keeps the mutex
+    /// and its count in one word, so a lock is four words in all: a
+    /// [`super::KeyLockMap`] stores one per key ever locked.
+    park: Mutex<u32>,
     cv: Condvar,
     /// Contention-attribution site; `None` (the default) skips every
     /// recording branch so un-instrumented locks measure nothing.

@@ -2,22 +2,20 @@
 //!
 //! A transaction that touches the same key twice — ubiquitous in the
 //! boosted map/set/pqueue scripts and in the server's guarded
-//! transfers — used to pay the full [`super::KeyLockMap`] path on every
-//! call: shard mutex, `HashMap` probe, `Arc` clone, then a reentrancy
-//! check inside the lock itself. All of that work answers a question
-//! the transaction could have answered locally: *"do I already hold
-//! this lock?"*
+//! transfers — would otherwise pay the [`super::KeyLockMap`] lookup and
+//! a reentrancy CAS on the shared lock word on every call. That work
+//! answers a question the transaction can answer locally: *"do I
+//! already hold this lock?"*
 //!
 //! [`LockCache`] is that local answer: a tiny set-associative cache in
 //! [`crate::Txn`] of `(table id, key hash)` tags of held locks. On a
-//! hit, `KeyLockMap::lock` returns without touching the shared table at
-//! all.
+//! hit, `KeyLockMap::lock` returns after reading one key from the held
+//! entry, without probing the table or writing anything shared.
 //!
-//! Entries hold **no** lock handle — only the tag. The transaction's
-//! held-lock list already owns the one `Arc` per acquired lock that
-//! keeps the lock alive, so a second handle here would only add a
-//! refcount increment at acquisition and a decrement at release, both
-//! on the lock's shared line.
+//! Entries hold **no** lock handle — only a tag and the address of
+//! the held lock's table entry. The transaction's pin of the table
+//! (see `locks/keymap.rs`) already keeps that entry alive, so the cache
+//! adds no refcount traffic.
 //!
 //! # Soundness
 //!
@@ -28,12 +26,12 @@
 //!   (commit or abort) — so a live entry's lock is genuinely held.
 //!   Savepoint rollback needs no invalidation: abstract locks stay held
 //!   across partial rollback (strict two-phase locking).
-//! * The tag is the table's id plus **two independent 64-bit hashes**
-//!   of the key. Within one table, distinct keys collide only if both
-//!   hashes collide simultaneously: with independently seeded
-//!   `RandomState` hashers that is a ~2⁻¹²⁸ event per key pair, below
-//!   any hardware error rate. Distinct tables never collide (ids are
-//!   unique), so one transaction may use many maps safely.
+//! * The tag is the table's id plus the key's 64-bit table hash, and a
+//!   tag match counts only if the key stored in the cached table entry
+//!   equals the requested key. Table entries never move while the
+//!   transaction's pin keeps their table alive, so the check is exact:
+//!   two keys with one hash cannot alias. Distinct tables never share a
+//!   tag (ids are unique), so one transaction may use many maps safely.
 //! * Eviction (round-robin, on a full cache) and misses are always
 //!   safe: the slow path re-checks ownership in the lock itself.
 
@@ -43,17 +41,28 @@
 /// keys); larger transactions merely fall back to the shared table.
 pub(crate) const LOCK_CACHE_WAYS: usize = 8;
 
-/// The tag of one held lock: its table's id and both key hashes. Table
-/// ids start at 1, so the all-zero tag marks an empty way.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// One held lock: its table's id, the key's table hash, and the
+/// address of its table entry. Table ids start at 1, so table 0 marks
+/// an empty way.
+#[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     table: u64,
-    h1: u64,
-    h2: u64,
+    hash: u64,
+    entry: *const (),
 }
 
-/// A small inline set of `(table id, key hash)` tags of held locks;
-/// see the module docs for the soundness argument.
+impl Default for CacheEntry {
+    fn default() -> Self {
+        CacheEntry {
+            table: 0,
+            hash: 0,
+            entry: std::ptr::null(),
+        }
+    }
+}
+
+/// A small inline set of `(table id, key hash, entry)` records of held
+/// locks; see the module docs for the soundness argument.
 #[derive(Debug, Default)]
 pub(crate) struct LockCache {
     entries: [CacheEntry; LOCK_CACHE_WAYS],
@@ -66,11 +75,19 @@ pub(crate) struct LockCache {
 
 impl LockCache {
     /// Whether this transaction already holds the lock tagged
-    /// `(table, h1, h2)`. Counts a hit.
-    pub(crate) fn hit(&mut self, table: u64, h1: u64, h2: u64) -> bool {
+    /// `(table, hash)` whose entry `is_key` accepts (the caller checks
+    /// the key stored in the entry). Counts a hit.
+    pub(crate) fn hit(
+        &mut self,
+        table: u64,
+        hash: u64,
+        is_key: impl Fn(*const ()) -> bool,
+    ) -> bool {
         debug_assert_ne!(table, 0, "table ids start at 1");
-        let tag = CacheEntry { table, h1, h2 };
-        let found = self.entries.contains(&tag);
+        let found = self
+            .entries
+            .iter()
+            .any(|e| e.table == table && e.hash == hash && is_key(e.entry));
         if found {
             self.hits += 1;
         }
@@ -79,8 +96,8 @@ impl LockCache {
 
     /// Record a freshly acquired (or re-confirmed) lock. Call only
     /// after an acquisition succeeded for this transaction.
-    pub(crate) fn insert(&mut self, table: u64, h1: u64, h2: u64) {
-        let entry = CacheEntry { table, h1, h2 };
+    pub(crate) fn insert(&mut self, table: u64, hash: u64, entry: *const ()) {
+        let entry = CacheEntry { table, hash, entry };
         // Prefer an empty way; otherwise evict round-robin. Eviction
         // only loses the fast path, never correctness.
         if let Some(slot) = self.entries.iter_mut().find(|e| e.table == 0) {
@@ -108,37 +125,48 @@ impl LockCache {
 mod tests {
     use super::*;
 
+    /// A stand-in entry address for way `i`.
+    fn at(i: usize) -> *const () {
+        std::ptr::without_provenance(i * 8 + 8)
+    }
+
+    /// Accepts only the entry at `want`.
+    fn is(want: *const ()) -> impl Fn(*const ()) -> bool {
+        move |e| e == want
+    }
+
     #[test]
-    fn hit_requires_all_three_tag_components() {
+    fn hit_requires_table_hash_and_key_check() {
         let mut c = LockCache::default();
-        c.insert(1, 10, 20);
-        assert!(c.hit(1, 10, 20));
-        assert!(!c.hit(2, 10, 20), "different table");
-        assert!(!c.hit(1, 11, 20), "different h1");
-        assert!(!c.hit(1, 10, 21), "different h2");
+        c.insert(1, 10, at(1));
+        assert!(c.hit(1, 10, is(at(1))));
+        assert!(!c.hit(2, 10, is(at(1))), "different table");
+        assert!(!c.hit(1, 11, is(at(1))), "different hash");
+        assert!(!c.hit(1, 10, |_| false), "same hash, other key");
         assert_eq!(c.hits(), 1);
     }
 
     #[test]
     fn clear_forgets_everything() {
         let mut c = LockCache::default();
-        c.insert(1, 1, 1);
-        assert!(c.hit(1, 1, 1));
+        c.insert(1, 1, at(1));
+        assert!(c.hit(1, 1, is(at(1))));
         c.clear();
-        assert!(!c.hit(1, 1, 1));
+        assert!(!c.hit(1, 1, |_| true));
         assert_eq!(c.hits(), 1, "hit count survives clear");
     }
 
     #[test]
     fn eviction_drops_oldest_ways_but_never_misreports() {
         let mut c = LockCache::default();
-        for i in 0..(LOCK_CACHE_WAYS as u64 + 3) {
-            c.insert(1, i, i);
+        for i in 0..(LOCK_CACHE_WAYS + 3) {
+            c.insert(1, i as u64, at(i));
         }
         // The newest entries are present…
-        assert!(c.hit(1, LOCK_CACHE_WAYS as u64 + 2, LOCK_CACHE_WAYS as u64 + 2));
+        let newest = LOCK_CACHE_WAYS + 2;
+        assert!(c.hit(1, newest as u64, is(at(newest))));
         // …and evicted ones miss (fall back to the shared table).
-        assert!(!c.hit(1, 0, 0));
-        assert!(!c.hit(1, 1, 1));
+        assert!(!c.hit(1, 0, |_| true));
+        assert!(!c.hit(1, 1, |_| true));
     }
 }

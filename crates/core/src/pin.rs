@@ -27,9 +27,9 @@ use std::any::Any;
 use std::sync::Arc;
 
 /// Pins held inline before the table spills to the heap: the busiest
-/// in-tree transaction mutates two objects per boosted collection
-/// (base and version store) on at most two collections.
-const PINS_INLINE: usize = 4;
+/// in-tree transaction pins three objects per boosted collection (base,
+/// version store and abstract-lock table) on at most two collections.
+const PINS_INLINE: usize = 6;
 
 /// Bits of a [`PinId`] holding the table index; the rest hold the low
 /// bits of the owning transaction's id.

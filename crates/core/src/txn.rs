@@ -3,7 +3,7 @@
 use crate::error::{Abort, AbortReason, TxnError};
 use crate::inline::{ActionLog, InlineVec};
 use crate::locks::cache::LockCache;
-use crate::locks::HeldLock;
+use crate::locks::{AbstractLock, HeldLock};
 use crate::pin::{PinId, Pins};
 use crate::stats::TxnStats;
 use crate::{Backoff, TxResult};
@@ -12,6 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
 use std::num::NonZeroU64;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,6 +105,15 @@ const VERSION_INLINE: usize = 16;
 /// Inline capacity of the held-locks list.
 const LOCKS_INLINE: usize = 8;
 
+/// One lock in a transaction's held-lock list.
+enum Held {
+    /// Kept alive by the list's own handle ([`Txn::register_held_lock`]).
+    Shared(Arc<dyn HeldLock>),
+    /// Lives inside an object the transaction has pinned
+    /// ([`Txn::register_pinned_lock`]).
+    Pinned(NonNull<AbstractLock>),
+}
+
 /// A high-water mark in a transaction's logs; see [`Txn::savepoint`].
 #[derive(Debug, Clone, Copy)]
 pub struct Savepoint {
@@ -145,7 +155,7 @@ pub struct Txn {
     /// `Some` for read-only snapshot transactions: the registered
     /// reader guard pinning the GC floor at the snapshot timestamp.
     snapshot: Option<crate::mvcc::SnapshotGuard>,
-    held_locks: RefCell<InlineVec<Arc<dyn HeldLock>, LOCKS_INLINE>>,
+    held_locks: RefCell<InlineVec<Held, LOCKS_INLINE>>,
     /// Objects pinned by this transaction's logged closures; see
     /// `pin.rs`. Cleared when the transaction finishes.
     pins: RefCell<Pins>,
@@ -461,11 +471,17 @@ impl Txn {
     }
 
     /// Whether this transaction's lock cache proves it already holds
-    /// the lock tagged `(table, h1, h2)`; see [`crate::locks::cache`].
-    /// On a hit the acquisition is settled without touching the shared
-    /// lock table (the reentrant-acquire outcome).
-    pub(crate) fn lock_cache_hit(&self, table: u64, h1: u64, h2: u64) -> bool {
-        if self.lock_cache.borrow_mut().hit(table, h1, h2) {
+    /// the lock tagged `(table, hash)` whose table entry `is_key`
+    /// accepts; see [`crate::locks::cache`]. On a hit the acquisition
+    /// is settled without probing the shared lock table (the
+    /// reentrant-acquire outcome).
+    pub(crate) fn lock_cache_hit(
+        &self,
+        table: u64,
+        hash: u64,
+        is_key: impl Fn(*const ()) -> bool,
+    ) -> bool {
+        if self.lock_cache.borrow_mut().hit(table, hash, is_key) {
             #[cfg(feature = "deterministic")]
             crate::det::yield_point(crate::det::Point::LockCacheHit);
             true
@@ -474,11 +490,12 @@ impl Txn {
         }
     }
 
-    /// Record a successful key-lock acquisition in the fast-path cache.
-    /// Must only be called for a lock this transaction now holds.
-    pub(crate) fn lock_cache_insert(&self, table: u64, h1: u64, h2: u64) {
+    /// Record a successful key-lock acquisition in the fast-path cache:
+    /// `entry` is the held lock's table entry. Must only be called for
+    /// a lock this transaction now holds.
+    pub(crate) fn lock_cache_insert(&self, table: u64, hash: u64, entry: *const ()) {
         debug_assert_eq!(self.state.get(), TxnState::Active);
-        self.lock_cache.borrow_mut().insert(table, h1, h2);
+        self.lock_cache.borrow_mut().insert(table, hash, entry);
     }
 
     /// Test-only mutation hook: plant a cache entry for a lock this
@@ -489,8 +506,8 @@ impl Txn {
     /// Never call outside tests.
     #[cfg(feature = "deterministic")]
     #[doc(hidden)]
-    pub fn poison_lock_cache_for_test(&self, table: u64, h1: u64, h2: u64) {
-        self.lock_cache.borrow_mut().insert(table, h1, h2);
+    pub fn poison_lock_cache_for_test(&self, table: u64, hash: u64, entry: *const ()) {
+        self.lock_cache.borrow_mut().insert(table, hash, entry);
     }
 
     /// Register a two-phase lock acquired on behalf of this transaction.
@@ -503,7 +520,27 @@ impl Txn {
     /// Panics if the transaction is no longer active.
     pub fn register_held_lock(&self, lock: Arc<dyn HeldLock>) {
         self.assert_active("register_held_lock");
-        self.held_locks.borrow_mut().push(lock);
+        self.held_locks.borrow_mut().push(Held::Shared(lock));
+    }
+
+    /// Register an acquired lock without taking a handle to it: the
+    /// lock lives inside an object this transaction has pinned
+    /// ([`Txn::pin`]), whose pin keeps it alive. Released like
+    /// [`Txn::register_held_lock`]'s, before the pins are dropped.
+    ///
+    /// # Safety
+    /// `lock` must stay at its address until this transaction has
+    /// finished — in practice, it must be part of an object that the
+    /// transaction pinned and that never moves or frees it while
+    /// alive.
+    ///
+    /// # Panics
+    /// Panics if the transaction is no longer active.
+    pub(crate) unsafe fn register_pinned_lock(&self, lock: &AbstractLock) {
+        self.assert_active("register_pinned_lock");
+        self.held_locks
+            .borrow_mut()
+            .push(Held::Pinned(NonNull::from(lock)));
     }
 
     fn assert_active(&self, op: &str) {
@@ -607,7 +644,13 @@ impl Txn {
             let Some(lock) = lock else { break };
             #[cfg(feature = "deterministic")]
             crate::det::yield_point(crate::det::Point::LockRelease);
-            lock.release(self.id);
+            match lock {
+                Held::Shared(lock) => lock.release(self.id),
+                // SAFETY: `register_pinned_lock`'s contract keeps the
+                // lock alive while the transaction's pins are, and the
+                // pins are cleared only after the locks are released.
+                Held::Pinned(lock) => unsafe { lock.as_ref() }.release(self.id),
+            }
         }
     }
 }

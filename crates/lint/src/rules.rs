@@ -201,11 +201,8 @@ const YIELD_SITES: &[(&str, &str, &[&str])] = &[
         "write_lock_det",
         &["LockAcquire", "block_tick"],
     ),
-    (
-        "crates/core/src/locks/keymap.rs",
-        "cleanup_after_timeout",
-        &["LockCleanup"],
-    ),
+    ("crates/core/src/locks/keymap.rs", "find", &["LockLookup"]),
+    ("crates/core/src/locks/keymap.rs", "insert", &["LockInsert"]),
     ("crates/rwstm/src/stm.rs", "read", &["StmRead"]),
     (
         "crates/rwstm/src/stm.rs",

@@ -62,6 +62,9 @@ const TOK_CONN0: u64 = 2;
 /// Read/condition interest for every connection.
 const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
+/// Bytes one socket read may return (the loop's shared read buffer).
+const READ_BUF: usize = 16 * 1024;
+
 /// The loops' join handles plus each loop's wakeup.
 type LoopHandles = (Vec<JoinHandle<()>>, Vec<Arc<Wakeup>>);
 
@@ -229,6 +232,9 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &Wakeup) {
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent::zeroed(); 1024];
     let mut tickq: Vec<(usize, Request)> = Vec::new();
+    // One socket read buffer for every connection of this loop: reads
+    // are consumed (fed to the connection's decoder) before the next.
+    let mut read_buf = vec![0u8; READ_BUF].into_boxed_slice();
     let mut accept_cooldown: Option<Instant> = None;
     let mut accept_backoff = shared.cfg.poll_interval.max(Duration::from_millis(1));
     let mut draining = false;
@@ -331,7 +337,7 @@ fn event_loop(shared: &Arc<Shared>, listener: &TcpListener, wake: &Wakeup) {
         for idx in 0..conns.len() {
             if let Some(Some(conn)) = conns.get_mut(idx) {
                 if !conn.stop_reading && !conn.dead && (conn.readable || conn.dec.buffered() > 0) {
-                    service_read(conn, idx, shared, &mut tickq, draining);
+                    service_read(conn, idx, shared, &mut tickq, &mut read_buf, draining);
                 }
             }
         }
@@ -509,10 +515,10 @@ fn service_read(
     idx: usize,
     shared: &Arc<Shared>,
     tickq: &mut Vec<(usize, Request)>,
+    buf: &mut [u8],
     draining: bool,
 ) {
     let window = shared.cfg.window.max(1);
-    let mut buf = [0u8; 16 * 1024];
     loop {
         // Decode complete frames while the window allows.
         while conn.inflight < window && !conn.stop_reading {
@@ -555,7 +561,7 @@ fn service_read(
             conn.stop_reading = true;
             return;
         }
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => conn.peer_eof = true,
             Ok(n) => conn.dec.feed(&buf[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {

@@ -185,15 +185,18 @@ impl Executor {
             attempts = attempts.saturating_add(1);
             results.clear();
             failed.set(None);
+            // One clock read per op: op i ends where op i + 1 starts.
+            let mut op_t0 = Instant::now();
             for (i, sop) in ops.iter().enumerate() {
-                let op_t0 = Instant::now();
                 let r = self.run_op(txn, &sop.op, i as u16, &failed)?;
+                let op_end = Instant::now();
                 // This closure re-runs on every conflict retry; an
                 // out-of-range opcode must degrade to an unrecorded
                 // sample, never a panic that kills the connection.
                 if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                    hist.record_duration(op_t0.elapsed());
+                    hist.record_duration(op_end - op_t0);
                 }
+                op_t0 = op_end;
                 if !sop.guard.admits(&r) {
                     failed.set(Some((i as u16, false)));
                     return Err(Abort::explicit());
@@ -353,19 +356,22 @@ impl Executor {
         let mut results: Vec<OpResult> = Vec::with_capacity(ops.len());
         let failed: Cell<Option<u16>> = Cell::new(None);
         let run = self.tm.run_read_only(|txn| {
+            // One clock read per op, chained as in `execute_deferred`.
+            let mut op_t0 = Instant::now();
             for (i, sop) in ops.iter().enumerate() {
                 if op_mutates(&sop.op) || matches!(sop.op, Op::DebugAbort) {
                     failed.set(Some(i as u16));
                     return Err(Abort::read_only_violation());
                 }
-                let op_t0 = Instant::now();
                 // `failed` is only consulted on the violation and guard
                 // paths above/below; read ops never set it.
                 let guard_sink = Cell::new(None);
                 let r = self.run_op(txn, &sop.op, i as u16, &guard_sink)?;
+                let op_end = Instant::now();
                 if let Some(hist) = self.op_hist.get((sop.op.opcode() - 1) as usize) {
-                    hist.record_duration(op_t0.elapsed());
+                    hist.record_duration(op_end - op_t0);
                 }
+                op_t0 = op_end;
                 if !sop.guard.admits(&r) {
                     failed.set(Some(i as u16));
                     return Err(Abort::explicit());

@@ -1,11 +1,13 @@
 //! Deterministic-harness coverage for the hot-path machinery: the
-//! CAS-word `AbstractLock`, the per-transaction lock-handle cache, and
-//! their interaction with virtual-time timeouts.
+//! CAS-word `AbstractLock`, the per-transaction lock-handle cache, the
+//! lock-free `KeyLockMap` lookup with its first-touch inserts and index
+//! growth, and their interaction with virtual-time timeouts.
 //!
-//! Three behaviours are swept across seeds, plus one *mutation check*:
+//! Four behaviours are swept across seeds, plus two *mutation checks*:
 //! a deliberately broken cache (an entry planted without acquiring the
-//! lock, via a test-only hook) must be caught by the sweep as a
-//! mutual-exclusion violation — evidence that these tests have teeth.
+//! lock) and a broken insert (no re-probe under the shard mutex), each
+//! switched on by a test-only hook, must be caught by their sweeps —
+//! evidence that these tests have teeth.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use transactional_boosting::prelude::*;
@@ -240,5 +242,102 @@ fn poisoned_lock_cache_is_caught_by_the_sweep() {
         exclusion_breaks.load(Ordering::Relaxed) > 0,
         "no seed observed two transactions in the critical section — \
          the sweep cannot catch broken cache invalidation"
+    );
+}
+
+/// Fresh keys the first-touch sweeps lock, all in one shard: inserts
+/// grow its index from 8 to 16 to 32 slots along the way.
+const FRESH_KEYS: usize = 12;
+
+/// Shared state of the first-touch sweeps.
+struct FirstTouch {
+    tm: TxnManager,
+    map: KeyLockMap<i64>,
+    /// Per key: a transaction is inside its critical section.
+    in_cs: Vec<AtomicBool>,
+}
+
+fn first_touch_world() -> FirstTouch {
+    FirstTouch {
+        tm: TxnManager::default(),
+        map: KeyLockMap::with_shards(1),
+        in_cs: (0..FRESH_KEYS).map(|_| AtomicBool::new(false)).collect(),
+    }
+}
+
+/// Thread `tid` locks every fresh key once, one per transaction,
+/// starting at key `tid`: neighbouring threads race to create the same
+/// entries, and lookups of existing keys run while another thread's
+/// insert grows the index.
+fn first_touch_body(w: &FirstTouch, tid: usize) {
+    for i in 0..FRESH_KEYS {
+        let k = (i + tid) % FRESH_KEYS;
+        w.tm.run(|t| {
+            w.map.lock(t, &(k as i64))?;
+            assert!(
+                !w.in_cs[k].swap(true, Ordering::SeqCst),
+                "two transactions hold key {k}"
+            );
+            det::yield_point(det::Point::User);
+            w.in_cs[k].store(false, Ordering::SeqCst);
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+/// Post-run check: exactly one entry (one lock) per key, none held.
+fn first_touch_coherent(w: &FirstTouch) -> bool {
+    w.map.table_len() == FRESH_KEYS && (0..FRESH_KEYS as i64).all(|k| !w.map.is_locked(&k))
+}
+
+#[test]
+fn first_touch_inserts_and_index_growth_keep_one_lock_per_key() {
+    // The lock-free lookup path under every interleaving of three
+    // threads: racing first-touch inserts of one key must end with one
+    // entry (the later insert re-probes and finds the earlier one's),
+    // and a lookup that loaded an index before a growth replaced it
+    // must still find every older key (or fall through to the insert
+    // path, whose re-probe does).
+    let stale_lookups = AtomicU64::new(0);
+    txboost_sched::sweep_setup(
+        txboost_sched::seeds_from_env(200),
+        3,
+        first_touch_world,
+        first_touch_body,
+        |w, _report| {
+            assert!(
+                first_touch_coherent(&w),
+                "{} entries for {FRESH_KEYS} keys",
+                w.map.table_len()
+            );
+            stale_lookups.fetch_add(w.map.stale_lookups_for_test(), Ordering::Relaxed);
+        },
+    );
+    assert!(
+        stale_lookups.load(Ordering::Relaxed) > 0,
+        "no seed grew the index while another thread was probing it"
+    );
+}
+
+#[test]
+fn insert_without_reprobe_is_caught_by_the_first_touch_sweep() {
+    // Mutation check: an insert that skips its re-probe under the shard
+    // mutex creates a second entry — a second lock — for a key another
+    // thread inserted after this one's lookup missed. The first-touch
+    // sweep must catch it, as a mutual-exclusion break or as a table
+    // with more entries than keys.
+    let mut caught = 0;
+    for seed in txboost_sched::seeds_from_env(200) {
+        let w = first_touch_world();
+        w.map.skip_insert_reprobe_for_test();
+        let report = txboost_sched::run_with_seed(seed, 3, |tid| first_touch_body(&w, tid));
+        if report.failed() || !first_touch_coherent(&w) {
+            caught += 1;
+        }
+    }
+    assert!(
+        caught > 0,
+        "no seed caught the duplicate insert — the first-touch sweep has no teeth"
     );
 }
